@@ -27,7 +27,7 @@ from .inequalities import (
     parallel_map,
 )
 from .levelgeom import verify_geom_claims
-from .norms import norm_report
+from .norms import _has_mean_zero, norm_report
 from .scaling import homogeneity_check, regime_exponents
 from .traces import layer_cake_trace, prop2_trace, prop3_trace, prop5_trace
 
@@ -159,7 +159,7 @@ def cmd_norms(cfg, outdir):
             ("log-l43", {}),
             ("weak-log", {}),
         ]
-        if abs(u.mean) <= 1e-10 * max(1.0, float(np.max(np.abs(u.values)))):
+        if _has_mean_zero(u):
             kinds += [("spectral", {"s": -1.0}), ("spectral", {"s": -0.5})]
         kinds += [("spectral", {"s": 0.0}), ("spectral", {"s": 1.0})]
     else:
@@ -217,7 +217,7 @@ def cmd_trace(cfg, outdir):
         u, v = rescale_to_mean(u, phi), rescale_to_mean(v, phi)
         rep = prop5_trace(u, v, _fnum(cfg["nu"]), w2_kw=kw)
     else:
-        raise SystemExit(f"unknown trace id {ineq_id!r}")
+        raise ValueError(f"unknown trace id {ineq_id!r}")
     rows = [[ineq_id, s.step, s.lhs, s.rhs, s.slack] for s in rep.steps]
     write_csv(os.path.join(outdir, "trace.csv"), TRACE_HEADER, rows)
     return rep.passed
@@ -507,19 +507,18 @@ def main(argv=None):
     if ns.command is None:
         ap.print_usage()
         return 2
-    if ns.command == "report":
-        cfg = load_config(ns.config)
-        if ns.out:
-            cfg["out"] = ns.out
-        return execute(cfg)
-    cfg = {"command": ns.command}
-    for key, val in vars(ns).items():
-        if key == "command" or val in (None, False):
-            continue
-        cfg[_RENAMES.get(key, key)] = "1" if val is True else str(val)
     try:
+        if ns.command == "report":
+            cfg = load_config(ns.config)
+            if ns.out:
+                cfg["out"] = ns.out
+        else:
+            cfg = {"command": ns.command}
+            for key, val in vars(ns).items():
+                if key != "command" and val not in (None, False):
+                    cfg[_RENAMES.get(key, key)] = "1" if val is True else str(val)
         return execute(cfg)
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

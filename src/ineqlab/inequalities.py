@@ -34,7 +34,7 @@ from . import fixtures
 from .families import FamilySpec, generate, parameter_box
 from .grid import dilate, refine, tile
 from .norms import (
-    MEAN_ZERO_RTOL,
+    _has_mean_zero,
     gn_rhs,
     log_weighted_l43,
     lp_norm,
@@ -117,11 +117,7 @@ def _require(cond, message):
 
 
 def _require_mean_zero(u):
-    scale = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    _require(
-        abs(u.mean) <= MEAN_ZERO_RTOL * max(scale, 1e-300),
-        f"precondition violated: mean(u) = 0 (got {u.mean:g})",
-    )
+    _require(_has_mean_zero(u), f"precondition violated: mean(u) = 0 (got {u.mean:g})")
 
 
 def _interp_rhs(u):

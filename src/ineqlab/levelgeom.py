@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, GridSpec
-from .norms import tv_norm
+from .norms import _level_sums, tv_norm
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,6 @@ class SignedLevelIndicator:
     spec: GridSpec
     values: np.ndarray = field(repr=False)
     level: float
-
-    def abs_integral(self):
-        return float(np.sum(np.abs(self.values)) * self.spec.cell_volume)
 
     def as_grid(self):
         return GridFunction(self.spec, self.values.astype(float))
@@ -140,23 +137,27 @@ def mollify(u, kernel):
 # ------------------------------------------------------------ coarea check
 
 
+def _coarea_sum(spec, levels, pos, neg):
+    """Sum of perimeter x gap over the level gaps, in ascending level order.
+
+    The perimeter of the gap's level sets is h^(d-1) pos + h^(d-1) neg (the
+    TVs of {u > mid} and {u < -mid}), and the running sum is sequential, so
+    the total is an independent quantity, not a second evaluation of TV.
+    """
+    hd = spec.h ** (spec.d - 1)
+    terms = (hd * pos + hd * neg) * np.diff(levels)
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
 def coarea_check(u):
     """Exact discrete coarea identity for the anisotropic TV.
 
     Sums perimeter(level set) x level gap over the finite level set of u and
     compares with tv_norm(u).  Returns (tv, level_sum, relative error).
     """
-    spec = u.spec
     tv = tv_norm(u)
-    levels = np.unique(np.abs(u.values))
-    levels = np.concatenate([[0.0], levels[levels > 0]])
-    total = 0.0
-    for lo, hi in zip(levels[:-1], levels[1:]):
-        mid = 0.5 * (lo + hi)
-        pos = (u.values > mid).astype(float)
-        neg = (u.values < -mid).astype(float)
-        per = tv_norm(u.with_values(pos)) + tv_norm(u.with_values(neg))
-        total += per * (hi - lo)
+    levels, _, _, pos, neg = _level_sums(u)
+    total = _coarea_sum(u.spec, levels, pos, neg)
     err = abs(tv - total) / max(tv, 1e-300) if tv > 0 else abs(total)
     return tv, total, err
 
@@ -213,8 +214,25 @@ def _require_binary(chi):
 def _torus_dist2_cells(spec, cells, center_cell):
     """Squared torus distance between cell centers, from integer indices."""
     diff = np.abs(cells - center_cell) * spec.h
-    diff = np.minimum(diff, spec.lam - diff)
-    return np.sum(diff**2, axis=-1)
+    sq = np.minimum(diff, spec.lam - diff) ** 2
+    out = sq[..., 0]
+    for ax in range(1, spec.d):  # np.sum's order, without its slow short-axis reduce
+        out = out + sq[..., ax]
+    return out
+
+
+def _row_slab(start, row, reach):
+    """Slices of a row-sorted cell array covering the rows within `reach`
+    of `row` on the torus; start[r] is the first cell of row r."""
+    n = start.size - 1
+    if 2 * reach + 1 >= n:
+        return [slice(None)]
+    lo, hi = row - reach, row + reach + 1
+    if lo < 0:
+        return [slice(start[lo + n], None), slice(0, start[hi])]
+    if hi > n:
+        return [slice(start[lo], None), slice(0, start[hi - n])]
+    return [slice(start[lo], start[hi])]
 
 
 def maximal_packing(chi_or_mask, radius, spec=None):
@@ -223,6 +241,12 @@ def maximal_packing(chi_or_mask, radius, spec=None):
     Scans the cells of Omega_R in row-major order and accepts any cell whose
     center is at least R (torus distance) from all accepted centers.  The
     result is maximal, so every Omega_R cell lies within R of some center.
+
+    Cells more than floor(R/h) + 1 rows away from a center (first axis, on
+    the torus) lie farther than R + h from it, so each acceptance updates
+    only the cells of that row slab.  The separation certificate is the
+    closest pair within the slabs, unless no pair there is closer than the
+    slab reach, when it falls back to comparing all pairs.
     """
     if isinstance(chi_or_mask, GridFunction):
         mask = chi_or_mask.values.astype(bool)
@@ -236,21 +260,31 @@ def maximal_packing(chi_or_mask, radius, spec=None):
         empty = np.zeros((0, spec.d), dtype=int)
         return BallCover(spec, empty, float(radius), np.inf, True)
     cells = np.stack(np.unravel_index(idx, spec.shape), axis=-1)
+    reach = int(radius / spec.h) + 1
+    start = np.searchsorted(cells[:, 0], np.arange(spec.n + 1))
     alive = np.ones(idx.size, dtype=bool)
-    centers = []
+    is_center = np.zeros(idx.size, dtype=bool)
     cover_d2 = np.full(idx.size, np.inf)
+    d2min = np.inf  # closest pair of centers within the slabs
     for i in range(idx.size):
         if not alive[i]:
             continue
-        d2 = _torus_dist2_cells(spec, cells, cells[i])
-        centers.append(cells[i])
-        alive &= d2 >= radius**2  # anything closer can never be accepted
-        cover_d2 = np.minimum(cover_d2, d2)
-    centers = np.array(centers, dtype=int)
-    dmin = np.inf
-    for i in range(len(centers) - 1):
-        d2 = _torus_dist2_cells(spec, centers[i + 1 :], centers[i])
-        dmin = min(dmin, float(np.sqrt(d2.min())))
+        for sl in _row_slab(start, cells[i, 0], reach):
+            d2 = _torus_dist2_cells(spec, cells[sl], cells[i])
+            alive[sl] &= d2 >= radius**2  # anything closer can never be accepted
+            cover_d2[sl] = np.minimum(cover_d2[sl], d2)
+            earlier = d2[is_center[sl]]
+            if earlier.size:
+                d2min = min(d2min, float(earlier.min()))
+        is_center[i] = True
+    centers = cells[is_center]
+    if d2min < (reach * spec.h) ** 2 or 2 * reach + 1 >= spec.n:
+        dmin = float(np.sqrt(d2min))
+    else:  # every pair may lie beyond the slabs: compare all of them
+        dmin = np.inf
+        for i in range(len(centers) - 1):
+            d2 = _torus_dist2_cells(spec, centers[i + 1 :], centers[i])
+            dmin = min(dmin, float(np.sqrt(d2.min())))
     covered = bool(np.all(cover_d2 <= radius**2 * (1 + 1e-12)))
     return BallCover(spec, centers, float(radius), dmin, covered)
 

@@ -32,9 +32,15 @@ class NormReport:
     metadata: dict
 
 
-def _require_mean_zero(u, what, ref_scale=0.0):
+def _has_mean_zero(u, ref_scale=0.0):
+    """|mean(u)| <= MEAN_ZERO_RTOL * max(max|u|, ref_scale): the one
+    vanishing-mean predicate of the package."""
     scale = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    if abs(u.mean) > MEAN_ZERO_RTOL * max(scale, ref_scale, 1e-300):
+    return abs(u.mean) <= MEAN_ZERO_RTOL * max(scale, ref_scale, 1e-300)
+
+
+def _require_mean_zero(u, what, ref_scale=0.0):
+    if not _has_mean_zero(u, ref_scale):
         raise ValueError(f"{what} requires vanishing mean, got mean {u.mean:g}")
 
 
@@ -91,6 +97,43 @@ def _forward_diffs(u):
     """Forward periodic differences along each axis (values, not divided by h)."""
     arr = u.as_nd()
     return [np.roll(arr, -1, axis=ax) - arr for ax in range(u.spec.d)]
+
+
+def _level_sums(u):
+    """Level-set sums of u over every gap between its distinct |u| levels.
+
+    Returns (levels, tail_meas, tail_int, pos, neg).  levels holds the
+    distinct values of |u| ascending with 0 prepended; the other arrays
+    have one entry per gap (levels[i], levels[i+1]) with midpoint mid_i:
+    the measure of {|u| > mid_i}, the integral of |u| over that set, and
+    the numbers of grid edges across which {u > mid_i} and {u < -mid_i}
+    jump.  The tails come from one sorted copy of |u| with suffix sums.
+    An edge with endpoint values a < b jumps in {u > mid} exactly for the
+    gaps with a <= mid < b, a run of consecutive gaps located by
+    searchsorted on the midpoints (exact even where a midpoint rounds onto
+    a level); difference arrays and cumsum count all runs at once, so the
+    cost is O(N log N) for any number of levels.
+    """
+    a = np.sort(np.abs(u.values))
+    levels = np.concatenate([[0.0], np.unique(a[a > 0])])
+    mids = 0.5 * (levels[:-1] + levels[1:])
+    gaps = mids.size
+    below = np.searchsorted(a, mids, side="right")
+    tail_meas = (a.size - below).astype(float) * u.spec.cell_volume
+    suffix = np.append(np.cumsum(a[::-1])[::-1], 0.0)
+    tail_int = suffix[below] * u.spec.cell_volume
+
+    arr = u.as_nd()
+    up = np.searchsorted(mids, arr)  # first gap with mid >= value
+    down = np.searchsorted(mids, -arr)  # first gap with mid >= -value
+    runs = np.zeros((2, gaps + 1), dtype=np.int64)
+    for ax in range(u.spec.d):
+        for row, idx in enumerate((up, down)):
+            other = np.roll(idx, -1, axis=ax)
+            runs[row] += np.bincount(np.minimum(idx, other).ravel(), minlength=gaps + 1)
+            runs[row] -= np.bincount(np.maximum(idx, other).ravel(), minlength=gaps + 1)
+    pos, neg = np.cumsum(runs, axis=1)[:, :gaps]
+    return levels, tail_meas, tail_int, pos, neg
 
 
 def tv_norm(u, mode="anisotropic"):

@@ -23,6 +23,7 @@ from . import fixtures
 from .grid import GridFunction, dilate
 from .inequalities import InequalityReport, TraceStep, _ratio, centered_half_norm, check
 from .levelgeom import (
+    _coarea_sum,
     density_set,
     capacity_potential,
     grad_dot,
@@ -34,20 +35,13 @@ from .levelgeom import (
     neg_laplacian,
     upper_level_set,
 )
-from .norms import MEAN_ZERO_RTOL, lp_norm, spectral_norm, tv_norm
+from .norms import _has_mean_zero, _level_sums, lp_norm, spectral_norm, tv_norm
 from .transport import w2_squared, w2_to_uniform
 
 
 def _require(cond, msg):
     if not cond:
         raise ValueError(msg)
-
-
-def _abs_levels(u):
-    """Distinct positive values of |u| ascending, with tail integrals."""
-    a = np.abs(u.values)
-    vals = np.unique(a)
-    return vals[vals > 0]
 
 
 def _tail_sum(u, threshold, power=1.0, weight=None):
@@ -104,7 +98,7 @@ def layer_cake_trace(u, M=16.0, mu_count=10):
     """
     _require(M > 1, f"truncation factor must exceed 1, got {M}")
     scale = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    _require(abs(u.mean) <= MEAN_ZERO_RTOL * max(scale, 1e-300), "mean(u) = 0 required")
+    _require(_has_mean_zero(u), "mean(u) = 0 required")
     spec = u.spec
     steps = []
 
@@ -112,24 +106,12 @@ def layer_cake_trace(u, M=16.0, mu_count=10):
     tv = tv_norm(u)
     hm1 = spectral_norm(u, -1) if scale > 0 else 0.0
 
-    # exact level identities
-    levels = _abs_levels(u)
-    if levels.size:
-        grid_levels = np.concatenate([[0.0], levels])
-        lhs_cake = sum(
-            _tail_sum(u, lo) * 3 * (hi ** (1 / 3) - lo ** (1 / 3))
-            for lo, hi in zip(grid_levels[:-1], grid_levels[1:])
-        )
-        lhs_trunc = sum(
-            _tail_sum(u, lo) * 3 * ((hi / M) ** (1 / 3) - (lo / M) ** (1 / 3))
-            for lo, hi in zip(grid_levels[:-1], grid_levels[1:])
-        )
-        lhs_coarea = sum(
-            tv_norm(level_indicator(u, 0.5 * (lo + hi)).as_grid()) * (hi - lo)
-            for lo, hi in zip(grid_levels[:-1], grid_levels[1:])
-        )
-    else:
-        lhs_cake = lhs_trunc = lhs_coarea = 0.0
+    # exact level identities, summed over the gaps between the levels of |u|
+    grid_levels, _, tail_int, pos, neg = _level_sums(u)
+    lhs_cake = float(np.sum(tail_int * 3 * np.diff(grid_levels ** (1 / 3))))
+    lhs_trunc = float(np.sum(tail_int * 3 * np.diff((grid_levels / M) ** (1 / 3))))
+    lhs_coarea = _coarea_sum(spec, grid_levels, pos, neg)
+    levels = grid_levels[1:]
     steps.append(TraceStep("layer-cake", lhs_cake, 3 * n43))
     steps.append(TraceStep("trunc-identity", lhs_trunc, 3 * M ** (-1 / 3) * n43))
     steps.append(TraceStep("coarea", lhs_coarea, tv))
@@ -237,8 +219,7 @@ def prop2_trace(u, M=8.0, mu_count=8):
     """
     _require(u.spec.d == 2, "the capacity construction is two dimensional")
     _require(u.values.min() >= -1 - 1e-12, "u >= -1 required")
-    scale = float(np.max(np.abs(u.values)))
-    _require(abs(u.mean) <= MEAN_ZERO_RTOL * max(scale, 1e-300), "mean(u) = 0 required")
+    _require(_has_mean_zero(u), "mean(u) = 0 required")
     _require(M > np.e, f"need M > e, got {M}")
     spec = u.spec
     steps = []
@@ -299,15 +280,16 @@ def prop2_trace(u, M=8.0, mu_count=8):
         if worst is not None:
             steps.append(worst)
 
-    # tail comparison, both sides exact (quadrature on the weight)
+    # tail comparison, both sides exact (quadrature on the weight); above
+    # M > e >= -min(u) the sets {u > mu} and {|u| > mu} agree, and their
+    # measure is constant between consecutive levels
     tail_rhs = 0.0
-    pos = u.values[u.values > M]
-    if pos.size:
-        grid_levels = np.concatenate([[M], np.unique(pos)])
-        for lo, hi in zip(grid_levels[:-1], grid_levels[1:]):
-            mid = 0.5 * (lo + hi)  # |{u > mu}| is constant on (lo, hi)
-            meas = float(np.sum(u.values > mid)) * spec.cell_volume
-            tail_rhs += _quad_mu_ln13(lo, hi) * meas
+    levels, tail_meas, _, _, _ = _level_sums(u)
+    first = int(np.searchsorted(levels, M, side="right"))
+    his = levels[first:]
+    los = np.concatenate([[M], his[:-1]])
+    for lo, hi, meas in zip(los, his, tail_meas[first - 1 :]):
+        tail_rhs += _quad_mu_ln13(lo, hi) * meas
     tail_lhs = fixtures.CONSTANTS["prop2_tail"] * _tail_sum(
         u, 2 * M, weight=lambda a: a ** (4 / 3) * np.log(a) ** (1 / 3)
     )
@@ -461,7 +443,7 @@ def prop3_trace(u, eps=0.25, mu_count=8, w2_kw=None):
 
 def _trace_report(name, steps, lhs, rhs, extra):
     ratio, degenerate = _ratio(lhs, rhs)
-    skip = {"absorb", "p2-mass"}
+    skip = {"absorb"}
     passed = all(
         s.slack >= -fixtures.band("trace") * max(abs(s.rhs), 1.0)
         for s in steps

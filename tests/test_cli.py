@@ -79,6 +79,29 @@ def test_usage_error_no_command():
     assert run([]) == 2
 
 
+def test_usage_error_unknown_trace_id(tmp_path):
+    args = ["trace", "--id", "nope", "--family", "random-steps", "--d", "1", "--n", "16"]
+    assert run(args + ["--out", str(tmp_path / "t")]) == 2
+
+
+def test_usage_error_missing_report_config(tmp_path):
+    assert run(["report", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_norms_all_low_amplitude_field(tmp_path):
+    # mean 1e-12 is not small against max|u| ~ 1e-6, so the negative-order
+    # spectral norms are left out instead of raising
+    from ineqlab.families import FamilySpec, generate
+
+    raw = generate(FamilySpec(GridSpec(2, 32, 1.0), "random-fourier", {}, 0))
+    f = tmp_path / "low.pgf"
+    save_grid(raw.with_values(raw.values * 1e-6 + 1e-12), f)
+    out = tmp_path / "n"
+    assert run(["norms", "--in", str(f), "--all", "--out", str(out)]) == 0
+    rows = (out / "norms.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows if r.startswith("spectral")] == ["s=0.0", "s=1.0"]
+
+
 def test_cover_outputs(tmp_path):
     out = tmp_path / "c"
     code = run(
