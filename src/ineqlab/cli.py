@@ -518,7 +518,7 @@ def main(argv=None):
                 if key != "command" and val not in (None, False):
                     cfg[_RENAMES.get(key, key)] = "1" if val is True else str(val)
         return execute(cfg)
-    except (ValueError, KeyError, OSError) as err:
+    except (ValueError, KeyError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -222,20 +222,23 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
     elif ineq_id == "prop4":
         _require(u.values.min() >= 0, "precondition violated: u >= 0")
         nu_grid = nu_grid if nu_grid is not None else np.logspace(-2, 2, 9)
-        scales = scales if scales is not None else [2, 4, 8, 16]
+        h = u.spec.h
+        if scales is None:
+            # the default radii 2h..16h, clamped to lam/2 on small grids
+            radii = list(dict.fromkeys(min(s * h, u.spec.lam / 2) for s in (2, 4, 8, 16)))
+        else:
+            radii = [s * h for s in scales]
         from .levelgeom import make_kernel
 
         p = (3 * d + 3) / (3 * d + 1)
-        candidates = [u] + [
-            make_kernel(u.spec, "smooth-bump", s * u.spec.h).convolve(u) for s in scales
-        ]
+        candidates = [u] + [make_kernel(u.spec, "smooth-bump", r).convolve(u) for r in radii]
+        # W2 and the half norm do not depend on nu: one solve per candidate
+        terms = [(w2_squared(u, v_, **w2_kw).value, centered_half_norm(v_) ** 2) for v_ in candidates]
         best = -np.inf
         for nu_ in nu_grid:
             inner = np.inf
-            for v_ in candidates:
-                w2 = w2_squared(u, v_, **w2_kw)
-                half = centered_half_norm(v_) ** 2
-                val = nu_ ** (2 / (d + 1)) * w2.value + nu_ ** (-(d - 1) / (d + 1)) * half
+            for w2_value, half in terms:
+                val = nu_ ** (2 / (d + 1)) * w2_value + nu_ ** (-(d - 1) / (d + 1)) * half
                 inner = min(inner, val)
             best = max(best, inner)
         lhs = lp_norm(u, p)
@@ -244,7 +247,8 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
         # the inner infimum is only upper-bounded by the mollification
         # family, so this ratio is informational; the certified route is
         # the additive prop5 form plus its exact rescaling
-        extra.update({"p": p, "sup_inf": best, "certified": False, "certified_route": "prop5"})
+        extra.update({"p": p, "sup_inf": best, "kernel_radii": radii, "certified": False,
+                      "certified_route": "prop5"})
     else:
         raise ValueError(f"unknown inequality id {ineq_id!r}")
 

@@ -3,9 +3,12 @@
 The ground cost is the squared geodesic (per-axis wrap-around) distance
 between cell centers.  Two solvers are provided:
 
-* an exact one, solving the transportation linear program on the support
-  cells with HiGHS and returning the optimal plan together with dual
-  potentials, so every value carries a duality-gap certificate;
+* an exact one, solving the transportation linear program with HiGHS by
+  shortlist pricing: a restricted LP on candidate cells (the smallest
+  reduced costs under coarse Sinkhorn potentials, plus a north-west-corner
+  plan) is grown until no support pair has a negative reduced cost, so
+  every value carries a duality-gap certificate whose dual feasibility is
+  checked over all support pairs;
 * a log-domain Sinkhorn solver with epsilon scaling for larger instances,
   which reports marginal residuals and a primal-dual gap bound obtained by
   rounding the plan and c-transforming the potentials.
@@ -28,6 +31,11 @@ from .grid import GridFunction, GridSpec
 
 EXACT_SUPPORT_CAP = 4096  # max (#source support) x (#target support)
 MASS_RTOL = 1e-9
+LP_TOL = 1e-10  # HiGHS feasibility tolerances and pricing cut-off, at unit mass and cost
+SEED_EPS, SEED_SWEEPS = 1 / 50, 20  # coarse Sinkhorn for the shortlist, at unit max cost
+SHORTLIST_K = 4  # seeded candidates per row and per column
+SHORTLIST_MIN = 512  # cells below which restricting the LP saves no time
+PRICE_ADD = 8  # most negative reduced costs added per row and per column each round
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,79 @@ def _empty_result(method):
     return TransportResult(0.0, plan, duals, method, 0.0, 0.0)
 
 
+def _northwest_corner(a, b):
+    """Cells of the monotone coupling of cumsum(a) and cumsum(b), a feasible plan."""
+    A, B = np.cumsum(a), np.cumsum(b)
+    starts = np.concatenate([[0.0], A[:-1], B[:-1]])
+    rows = np.minimum(np.searchsorted(A, starts, side="right"), a.size - 1)
+    cols = np.minimum(np.searchsorted(B, starts, side="right"), b.size - 1)
+    return rows, cols
+
+
+def _smallest_per_line(red, k, axis):
+    """Mask of the k smallest entries of every row (axis=1) or column (axis=0)."""
+    k = min(k, red.shape[axis])
+    idx = np.argpartition(red, k - 1, axis=axis)
+    mask = np.zeros(red.shape, dtype=bool)
+    np.put_along_axis(mask, idx.take(np.arange(k), axis=axis), True, axis=axis)
+    return mask
+
+
+def _shortlist(cost, a, b):
+    """Cells among the k smallest seeded reduced costs of their row or column.
+
+    k is SHORTLIST_K, raised so that about SHORTLIST_MIN cells are listed:
+    below that size the LP's fixed cost dominates, and a shorter list
+    saves nothing but risks further pricing rounds.  When k reaches the
+    shorter side every cell is listed and no seed is needed.
+    """
+    m, n = cost.shape
+    k = max(SHORTLIST_K, -(-SHORTLIST_MIN // (m + n)))
+    if k >= min(m, n):
+        return np.ones((m, n), dtype=bool)
+    f, g = _sinkhorn_potentials(cost, a, b, SEED_EPS, SEED_SWEEPS)
+    red = cost - f[:, None] - g[None, :]
+    return _smallest_per_line(red, k, 1) | _smallest_per_line(red, k, 0)
+
+
+def _restricted_lp(cost, a, b, rows, cols):
+    """Transportation LP on the listed cells: (plan values, phi, psi)."""
+    m, k = a.size, rows.size
+    A = sparse.csc_matrix(
+        (np.ones(2 * k), np.column_stack([rows, m + cols]).ravel(), np.arange(0, 2 * k + 1, 2)),
+        shape=(m + b.size, k),
+    )
+    res = linprog(
+        cost[rows, cols],
+        A_eq=A,
+        b_eq=np.concatenate([a, b]),
+        bounds=(0, None),
+        method="highs",
+        options={
+            # presolve drops cells of tiny mass and can then report a
+            # feasible transport problem infeasible
+            "presolve": False,
+            "primal_feasibility_tolerance": LP_TOL,
+            "dual_feasibility_tolerance": LP_TOL,
+        },
+    )
+    if not res.success:
+        raise RuntimeError(f"exact transport solve failed: {res.message}")
+    y = np.asarray(res.eqlin.marginals)
+    return res.x, y[:m], y[m:]
+
+
 def _solve_exact(u, v, support_cap):
+    """Exact LP by shortlist pricing, certified over all support pairs.
+
+    The LP is solved at unit total mass and unit max cost (HiGHS
+    tolerances are absolute), on a candidate set of cells: the k smallest
+    reduced costs of every row and column under coarse Sinkhorn
+    potentials, plus a north-west-corner plan so the restricted LP is
+    always feasible.  Reduced costs over every pair are then priced and
+    the most negative ones added until none is below -LP_TOL, which
+    certifies the restricted optimum for the full problem.
+    """
     si, ti = u.support(), v.support()
     m, n = si.size, ti.size
     if m * n > support_cap:
@@ -141,45 +221,34 @@ def _solve_exact(u, v, support_cap):
         )
     a, b = u.masses[si], v.masses[ti]
     cost = _cost_matrix(u.spec, si, ti)
+    mass, cscale = a.sum(), float(cost.max()) or 1.0
+    an, bn, cn = a / mass, b / b.sum(), cost / cscale
 
-    rows_src = np.repeat(np.arange(m), n)
-    rows_dst = m + np.tile(np.arange(n), m)
-    cols = np.arange(m * n)
-    A = sparse.csr_matrix(
-        (
-            np.ones(2 * m * n),
-            (np.concatenate([rows_src, rows_dst]), np.concatenate([cols, cols])),
-        ),
-        shape=(m + n, m * n),
-    )
-    beq = np.concatenate([a, b])
-    res = linprog(
-        cost.ravel(),
-        A_eq=A,
-        b_eq=beq,
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not res.success:
-        raise RuntimeError(f"exact transport solve failed: {res.message}")
-    x = res.x.reshape(m, n)
-    y = np.asarray(res.eqlin.marginals)
-    phi, psi = y[:m], y[m:]
-    primal = float(np.sum(cost * x))
+    sel = _shortlist(cn, an, bn)
+    sel[_northwest_corner(an, bn)] = True
+    while True:
+        rows, cols = np.nonzero(sel)
+        xn, phi, psi = _restricted_lp(cn, an, bn, rows, cols)
+        red = cn - phi[:, None] - psi[None, :]
+        slack = float(red.min())
+        red[sel] = np.inf
+        if red.min() >= -LP_TOL:
+            break
+        viol = red < -LP_TOL
+        sel |= viol & (_smallest_per_line(red, PRICE_ADD, 1) | _smallest_per_line(red, PRICE_ADD, 0))
+
+    phi, psi = phi * cscale, psi * cscale
+    x = xn * mass
+    nz = x > 0
+    rows, cols, x = rows[nz], cols[nz], x[nz]
+    primal = float(np.sum(cost[rows, cols] * x))
     dual = float(np.dot(a, phi) + np.dot(b, psi))
-    slack = float(np.min(cost - phi[:, None] - psi[None, :]))
-
-    nz = np.nonzero(x > 0)
-    entries = np.column_stack([si[nz[0]], ti[nz[1]], x[nz]]).astype(float)
+    entries = np.column_stack([si[rows], ti[cols], x]).astype(float)
     plan = TransportPlan(entries, primal)
-    duals = DualPotentials(phi, psi, dual, slack)
+    duals = DualPotentials(phi, psi, dual, slack * cscale)
     resid = max(
-        float(np.max(np.abs(x.sum(axis=1) - a))),
-        float(np.max(np.abs(x.sum(axis=0) - b))),
+        float(np.max(np.abs(np.bincount(rows, x, m) - a))),
+        float(np.max(np.abs(np.bincount(cols, x, n) - b))),
     )
     return TransportResult(primal, plan, duals, "exact", primal - dual, resid)
 
@@ -189,10 +258,8 @@ def _logsumexp(z, axis):
     return (zm + np.log(np.sum(np.exp(z - zm), axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _solve_sinkhorn(u, v, eps, iters):
-    si, ti = u.support(), v.support()
-    a, b = u.masses[si], v.masses[ti]
-    cost = _cost_matrix(u.spec, si, ti)
+def _sinkhorn_potentials(cost, a, b, eps, iters):
+    """Log-domain Sinkhorn potentials (f, g), epsilon scaled from max cost / 4."""
     la, lb = np.log(a), np.log(b)
     f = np.zeros(a.size)
     g = np.zeros(b.size)
@@ -207,6 +274,14 @@ def _solve_sinkhorn(u, v, eps, iters):
         for _ in range(max(1, iters // len(schedule))):
             f = e * (la - _logsumexp((g[None, :] - cost) / e, axis=1))
             g = e * (lb - _logsumexp((f[:, None] - cost) / e, axis=0))
+    return f, g
+
+
+def _solve_sinkhorn(u, v, eps, iters):
+    si, ti = u.support(), v.support()
+    a, b = u.masses[si], v.masses[ti]
+    cost = _cost_matrix(u.spec, si, ti)
+    f, g = _sinkhorn_potentials(cost, a, b, eps, iters)
     pi = np.exp((f[:, None] + g[None, :] - cost) / eps)
     # round to the exact marginals so the plan is feasible
     r = np.minimum(1.0, a / np.maximum(pi.sum(axis=1), 1e-300))

@@ -201,3 +201,22 @@ def test_chain_command(tmp_path):
     lines = (out / "chain.csv").read_text().strip().splitlines()
     assert lines[0] == "step,value_lhs,value_rhs,ratio"
     assert any(ln.startswith("poincare") for ln in lines)
+
+
+def test_prop4_default_scales_on_small_grid(tmp_path):
+    code = run(["check", "--id", "prop4", "--family", "single-bump", "--params", "radius=0.2",
+                "--d", "2", "--n", "16", "--support-cap", "1048576", "--out", str(tmp_path / "p4")])
+    assert code in (0, 1)
+
+
+def test_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
+    from ineqlab import transport
+
+    def failing(u, v, support_cap):
+        raise RuntimeError("exact transport solve failed: test")
+
+    monkeypatch.setattr(transport, "_solve_exact", failing)
+    code = run(["check", "--id", "prop3", "--family", "ball-lattice", "--params", "phi=0.2,mean=1",
+                "--d", "2", "--n", "8", "--out", str(tmp_path / "p3")])
+    assert code == 2
+    assert "error: exact transport solve failed" in capsys.readouterr().err

@@ -159,6 +159,21 @@ def test_prop4_not_certified():
     assert r.extra["sup_inf"] > 0
 
 
+def test_prop4_one_solve_per_candidate_and_clamped_scales(monkeypatch):
+    from ineqlab import inequalities
+
+    u = rescale_to_mean(
+        generate(FamilySpec(GridSpec(2, 16, 1.0), "single-bump", {"radius": 0.25}, 0)), 0.1
+    )
+    calls = []
+    solve = inequalities.w2_squared
+    monkeypatch.setattr(inequalities, "w2_squared", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    r = check("prop4", u, constant=np.inf, w2_kw={"support_cap": 1 << 20})
+    # 16h exceeds lam/2 on 16^2 and 8h = lam/2 already: three kernels
+    assert r.extra["kernel_radii"] == [2 / 16, 4 / 16, 0.5]
+    assert len(calls) == 1 + len(r.extra["kernel_radii"])
+
+
 def test_calibrate_constants_only_family():
     # all-zero fields: ratios all zero
     z = [FamilySpec(GridSpec(1, 16, 1.0), "stripe", {"width": 8, "high": 0.0, "low": 0.0}, s) for s in range(3)]
