@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, torus_gap
 
 FAMILY_IDS = (
     "random-fourier",
@@ -50,12 +50,7 @@ def _rng(seed):
 
 def _radial_dist2(spec, center):
     """Squared torus distance of every cell center to a point."""
-    axes = []
-    for c in center:
-        x = spec.axis_coords() - c
-        x = np.abs(x)
-        x = np.minimum(x, spec.lam - x)
-        axes.append(x**2)
+    axes = [torus_gap(spec, spec.axis_coords() - c) ** 2 for c in center]
     grids = np.meshgrid(*axes, indexing="ij")
     return sum(grids)
 

@@ -36,12 +36,6 @@ CONSTANTS = {
     "regime2_energy": 9.6073974609375,
 }
 
-# Headroom multipliers applied on top of the committed constants when a
-# check decides pass/fail (the committed value itself stays exact).
-HEADROOM = {
-    "default": 1.0 + 1e-9,
-}
-
 # Discretization tolerance bands (relative), used by claim and trace tests.
 BANDS = {
     "claim1": 0.10,
@@ -55,12 +49,13 @@ BANDS = {
 
 
 def constant(ineq_id, q=None):
-    """Committed constant for an inequality (gn dispatches on q)."""
+    """Committed constant for an inequality (gn dispatches on q), with a
+    1e-9 relative headroom for the pass/fail decision (the committed value
+    itself stays exact)."""
+    headroom = 1.0 + 1e-9
     if ineq_id == "gn":
-        if q == 2:
-            return CONSTANTS["gn2"] * HEADROOM["default"]
-        return CONSTANTS["gn"] * HEADROOM["default"]
-    return CONSTANTS[ineq_id] * HEADROOM["default"]
+        return CONSTANTS["gn2" if q == 2 else "gn"] * headroom
+    return CONSTANTS[ineq_id] * headroom
 
 
 def band(name):

@@ -1,7 +1,13 @@
-"""Periodic grid functions on [0, L]^d and their Fourier spectra.
+"""Periodic grid functions on [0, L]^d, their Fourier spectra, and the
+torus geometry every other module uses.
 
 Functions are piecewise constant on the cells of a uniform lattice, so
-every quadrature-type functional is an exact finite sum times h^d.
+every quadrature-type functional is an exact finite sum times h^d.  The
+torus layer is the one place that knows the geometry of the lattice: the
+per-axis wrap `torus_gap`, the separable inf-convolution with the squared
+torus distance `inf_convolve` (distance transforms, covering potentials and
+c-transforms are all instances of it), and the physical wave numbers
+`wavenumbers`/`wavenumber2` behind every Fourier multiplier.
 """
 
 from __future__ import annotations
@@ -114,6 +120,67 @@ class SpectrumView:
 def make(spec, values):
     """Wrap a value array as a GridFunction (validates length and finiteness)."""
     return GridFunction(spec, values)
+
+
+# ------------------------------------------- torus geometry and wave numbers
+
+
+def torus_gap(spec, diff):
+    """Per-axis torus distance of coordinate differences: min(|diff|, lam - |diff|)."""
+    diff = np.abs(diff)
+    return np.minimum(diff, spec.lam - diff)
+
+
+def inf_convolve(spec, f, scale=1.0):
+    """min_y f(y) + scale * dist(x, y)^2 over cell centers x, y of the torus.
+
+    f holds one value per cell, +inf allowed.  The minimum is taken one axis
+    at a time over the source positions whose slice holds a finite value,
+    O(#such positions * N) per axis, and equals the brute-force minimum of
+    f(y) + scale gap_0^2 + scale gap_1^2 + ... summed in that order.
+    """
+    offsets = np.arange(spec.n)
+    pen = scale * torus_gap(spec, spec.h * offsets) ** 2
+    out = np.asarray(f, dtype=float).reshape(spec.shape)
+    finite = np.isfinite(out)
+    # a pass along one axis leaves the finite positions along the others unchanged
+    axes = range(spec.d)
+    lives = [np.flatnonzero(finite.any(axis=tuple(a for a in axes if a != ax))) for ax in axes]
+    if lives[0].size == 0:
+        return np.full(spec.shape, np.inf)
+    for ax, live in enumerate(lives):
+        along = [spec.n if a == ax else 1 for a in axes]
+        for k, j in enumerate(live):
+            # the gap from source j to target i is pen[(i - j) mod n]
+            row, col = np.take(out, [j], axis=ax), pen[(offsets - j) % spec.n].reshape(along)
+            if k == 0:
+                acc, tmp = row + col, np.empty(spec.shape)
+            else:
+                np.minimum(acc, np.add(row, col, out=tmp), out=acc)
+        out = acc
+    return out
+
+
+def nearest_distance(spec, cells):
+    """Torus distance from every cell center to the nearest of `cells`
+    (an (m, d) integer array of cell indices; +inf everywhere when m = 0)."""
+    f = np.full(spec.shape, np.inf)
+    f[tuple(np.asarray(cells, dtype=int).reshape(-1, spec.d).T)] = 0.0
+    return np.sqrt(inf_convolve(spec, f))
+
+
+def wavenumbers(spec):
+    """Physical wave numbers 2 pi k / lam along one axis, unshifted FFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(spec.n, d=1.0 / spec.n) / spec.lam
+
+
+def wavenumber2(spec):
+    """|2 pi k / lam|^2 on the unshifted FFT layout, summed axis by axis."""
+    k2 = wavenumbers(spec) ** 2
+    out = np.zeros(spec.shape)
+    for ax in range(spec.d):
+        out = out + k2.reshape([spec.n if a == ax else 1 for a in range(spec.d)])
+    return out
 
 
 def to_spectrum(u):

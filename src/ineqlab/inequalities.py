@@ -189,7 +189,9 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
         p = (2 + 3 * d) / (3 * d)
         w2 = w2_to_uniform(u, **w2_kw)
         lhs = _plus_power_norm(u, c, p)
-        rhs = tv_norm(u) ** (2 * d / (2 + 3 * d)) * w2.value ** (d / (2 + 3 * d))
+        # W2 bounds the left side, so an inexact solve enters by its lower side
+        rhs = tv_norm(u) ** (2 * d / (2 + 3 * d)) * w2.lower ** (d / (2 + 3 * d))
+        certified = w2.bounds_below
         extra.update({"p": p, "threshold": c, "w2": w2.value, "w2_gap": w2.gap})
     elif ineq_id == "prop5":
         _require(v is not None and nu is not None, "prop5 needs v and nu")
@@ -213,11 +215,12 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
         half = centered_half_norm(v) ** 2
         terms = {
             "tv": tv_norm(u),
-            "w2": nu ** (2 / (d + 1)) * w2.value,
+            "w2": nu ** (2 / (d + 1)) * w2.lower,
             "half": nu ** ((1 - d) / (d + 1)) * half,
         }
         lhs = _plus_power_norm(u, nu**thr_exp, p)
         rhs = sum(terms.values()) ** (1 / p)
+        certified = w2.bounds_below
         extra.update({"p": p, "nu": nu, "phi": phi, "terms": terms, "w2_gap": w2.gap})
     elif ineq_id == "prop4":
         _require(u.values.min() >= 0, "precondition violated: u >= 0")
@@ -352,13 +355,15 @@ def calibrate(ineq_id, family_specs, *, with_stability=True, **kw):
 def _calibrate_prop3(specs, tol=1e-3, **kw):
     """Joint threshold/prefactor bisection for the W_2 interpolation bound."""
     data = []
+    certified = True
     for fs in specs:
         u = generate(fs)
         d = u.spec.d
         p = (2 + 3 * d) / (3 * d)
         w2 = w2_to_uniform(u, **dict(kw.get("w2_kw", {})))
-        rhs = tv_norm(u) ** (2 * d / (2 + 3 * d)) * w2.value ** (d / (2 + 3 * d))
+        rhs = tv_norm(u) ** (2 * d / (2 + 3 * d)) * w2.lower ** (d / (2 + 3 * d))
         data.append((u, p, rhs, fs))
+        certified &= w2.bounds_below
 
     def feasible(c):
         return all(_plus_power_norm(u, c, p) <= c * rhs + 1e-15 for u, p, rhs, _ in data)
@@ -384,7 +389,7 @@ def _calibrate_prop3(specs, tol=1e-3, **kw):
         constant=float(c),
         argmax_desc=f"{data[imax][3].describe()} seed={data[imax][3].seed}",
         ratios=tuple(ratios),
-        extra={"prefactor_at_threshold": float(max(ratios))},
+        extra={"prefactor_at_threshold": float(max(ratios)), "certified": certified},
     )
 
 

@@ -1,6 +1,7 @@
 """Level sets, mollifiers, the coarea identity, and the covering/capacity
 construction: density sets, maximal ball packings, logarithmic capacity
-potentials in d = 2 and indicator potentials in general d, plus the
+potentials in d = 2 and indicator potentials in general d (profiles of the
+distance to the nearest center, from the torus layer of `grid`), plus the
 numerical verification of the covering-lemma claims with their explicit
 constants.
 """
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, nearest_distance, torus_gap, wavenumber2, wavenumbers
 from .norms import _level_sums, tv_norm
 
 
@@ -39,15 +40,6 @@ def upper_level_set(u, mu):
 
 
 # ------------------------------------------------------------- mollifiers
-
-
-def _offset_dist(spec):
-    """Torus distance of every lattice offset from the origin."""
-    z = spec.h * np.arange(spec.n)
-    z = np.minimum(z, spec.lam - z)
-    axes = [z**2] * spec.d
-    grids = np.meshgrid(*axes, indexing="ij") if spec.d > 1 else [axes[0]]
-    return np.sqrt(sum(grids))
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,7 @@ class MollifierKernel:
 def make_kernel(spec, kind, radius):
     if not 0 < radius <= spec.lam / 2:
         raise ValueError(f"kernel radius must lie in (0, lam/2], got {radius}")
-    r = _offset_dist(spec)
+    r = nearest_distance(spec, [[0] * spec.d])
     if kind == "smooth-bump":
         w = np.maximum(0.0, 1.0 - (r / radius) ** 2) ** 3
     elif kind == "hard-disc":
@@ -91,33 +83,22 @@ def make_kernel(spec, kind, radius):
     w = w / total
     gc = lc = float("nan")
     if kind == "smooth-bump":
-        gk = _spectral_gradient_l1(spec, w)
-        lk = _spectral_laplacian_l1(spec, w)
+        gk, lk = _spectral_l1_norms(spec, w)
         gc, lc = radius * gk, radius**2 * lk
     return MollifierKernel(spec, kind, float(radius), w, gc, lc)
 
 
-def _spectral_gradient_l1(spec, arr):
-    k = 2j * np.pi * np.fft.fftfreq(spec.n, d=1.0 / spec.n) / spec.lam
+def _spectral_l1_norms(spec, arr):
+    """||grad arr||_1 (summed over axes) and ||Laplacian arr||_1, spectrally."""
     fhat = np.fft.fftn(arr)
-    total = 0.0
+    k = 1j * wavenumbers(spec)
+    grad = 0.0
     for ax in range(spec.d):
         sh = [1] * spec.d
         sh[ax] = spec.n
-        g = np.real(np.fft.ifftn(fhat * k.reshape(sh)))
-        total += np.sum(np.abs(g)) * spec.cell_volume
-    return float(total)
-
-
-def _spectral_laplacian_l1(spec, arr):
-    k2 = np.zeros(spec.shape)
-    f = (2 * np.pi * np.fft.fftfreq(spec.n, d=1.0 / spec.n) / spec.lam) ** 2
-    for ax in range(spec.d):
-        sh = [1] * spec.d
-        sh[ax] = spec.n
-        k2 = k2 + f.reshape(sh)
-    lap = np.real(np.fft.ifftn(-k2 * np.fft.fftn(arr)))
-    return float(np.sum(np.abs(lap)) * spec.cell_volume)
+        grad += np.sum(np.abs(np.real(np.fft.ifftn(fhat * k.reshape(sh))))) * spec.cell_volume
+    lap = np.real(np.fft.ifftn(-wavenumber2(spec) * fhat))
+    return float(grad), float(np.sum(np.abs(lap)) * spec.cell_volume)
 
 
 def mollify(u, kernel):
@@ -171,7 +152,6 @@ class BallCover:
     centers: np.ndarray = field(repr=False)  # (N, d) integer cell indices
     radius: float
     min_center_distance: float  # separation certificate (>= R up to grid)
-    covered: bool  # every density-set cell lies within R of some center
 
     @property
     def count(self):
@@ -213,8 +193,7 @@ def _require_binary(chi):
 
 def _torus_dist2_cells(spec, cells, center_cell):
     """Squared torus distance between cell centers, from integer indices."""
-    diff = np.abs(cells - center_cell) * spec.h
-    sq = np.minimum(diff, spec.lam - diff) ** 2
+    sq = torus_gap(spec, (cells - center_cell) * spec.h) ** 2
     out = sq[..., 0]
     for ax in range(1, spec.d):  # np.sum's order, without its slow short-axis reduce
         out = out + sq[..., ax]
@@ -258,13 +237,12 @@ def maximal_packing(chi_or_mask, radius, spec=None):
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         empty = np.zeros((0, spec.d), dtype=int)
-        return BallCover(spec, empty, float(radius), np.inf, True)
+        return BallCover(spec, empty, float(radius), np.inf)
     cells = np.stack(np.unravel_index(idx, spec.shape), axis=-1)
     reach = int(radius / spec.h) + 1
     start = np.searchsorted(cells[:, 0], np.arange(spec.n + 1))
     alive = np.ones(idx.size, dtype=bool)
     is_center = np.zeros(idx.size, dtype=bool)
-    cover_d2 = np.full(idx.size, np.inf)
     d2min = np.inf  # closest pair of centers within the slabs
     for i in range(idx.size):
         if not alive[i]:
@@ -272,7 +250,6 @@ def maximal_packing(chi_or_mask, radius, spec=None):
         for sl in _row_slab(start, cells[i, 0], reach):
             d2 = _torus_dist2_cells(spec, cells[sl], cells[i])
             alive[sl] &= d2 >= radius**2  # anything closer can never be accepted
-            cover_d2[sl] = np.minimum(cover_d2[sl], d2)
             earlier = d2[is_center[sl]]
             if earlier.size:
                 d2min = min(d2min, float(earlier.min()))
@@ -285,20 +262,15 @@ def maximal_packing(chi_or_mask, radius, spec=None):
         for i in range(len(centers) - 1):
             d2 = _torus_dist2_cells(spec, centers[i + 1 :], centers[i])
             dmin = min(dmin, float(np.sqrt(d2.min())))
-    covered = bool(np.all(cover_d2 <= radius**2 * (1 + 1e-12)))
-    return BallCover(spec, centers, float(radius), dmin, covered)
-
-
-def _max_of_rolled_profile(spec, profile, centers):
-    """max_i profile(x - y_i) for a profile tabulated on the offset grid."""
-    out = np.zeros(spec.shape)
-    for c in centers:
-        out = np.maximum(out, np.roll(profile, tuple(c), axis=tuple(range(spec.d))))
-    return out
+    return BallCover(spec, centers, float(radius), dmin)
 
 
 def capacity_potential(cover, radius, outer, spec=None):
-    """Pointwise max of radial log profiles: 1 on B_R, log decay to 0 at B_L."""
+    """Pointwise max of radial log profiles: 1 on B_R, log decay to 0 at B_L.
+
+    The profile decreases in r, so the max over centers is the profile of
+    the distance to the nearest center.
+    """
     spec = cover.spec if spec is None else spec
     if spec.d != 2:
         raise ValueError("log-capacity potentials are defined for d = 2 only")
@@ -306,18 +278,17 @@ def capacity_potential(cover, radius, outer, spec=None):
         raise ValueError(f"need R < L, got R={radius}, L={outer}")
     if outer > spec.lam / 2:
         raise ValueError(f"outer radius exceeds lam/2: {outer}")
-    r = _offset_dist(spec)
+    r = nearest_distance(spec, cover.centers)
     lnLR = np.log(outer / radius)
-    prof = np.clip(np.log(outer / np.maximum(r, 1e-300)) / lnLR, 0.0, 1.0)
-    vals = _max_of_rolled_profile(spec, prof, cover.centers)
+    with np.errstate(divide="ignore"):  # no centers: r = inf, log 0 = -inf, clipped to 0
+        vals = np.clip(np.log(outer / np.maximum(r, 1e-300)) / lnLR, 0.0, 1.0)
     return CoverPotential(GridFunction(spec, vals.ravel()), float(radius), float(outer), "log-capacity")
 
 
 def indicator_potential(cover, radius, spec=None):
     """Characteristic function of the union of R-balls around the centers."""
     spec = cover.spec if spec is None else spec
-    prof = (_offset_dist(spec) <= radius).astype(float)
-    vals = _max_of_rolled_profile(spec, prof, cover.centers)
+    vals = (nearest_distance(spec, cover.centers) <= radius).astype(float)
     return CoverPotential(GridFunction(spec, vals.ravel()), float(radius), float(radius), "indicator")
 
 
@@ -406,7 +377,7 @@ def verify_geom_claims(chi, radius, outer):
 
     # per-center capacity mass on a fresh single-center potential
     single_centers = cover.centers[:1] if n else np.zeros((0, 2), dtype=int)
-    single = BallCover(spec, single_centers, radius, np.inf, True)
+    single = BallCover(spec, single_centers, radius, np.inf)
     if n:
         phi1 = capacity_potential(single, radius, outer).grid
         cap1 = float(np.sum(np.maximum(neg_laplacian(phi1).values, 0.0)) * spec.cell_volume)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import nearest_distance, wavenumber2
+
 MEAN_ZERO_RTOL = 1e-10
 
 
@@ -29,7 +31,6 @@ class NormReport:
     kind: str
     value: float
     params: dict
-    metadata: dict
 
 
 def _has_mean_zero(u, ref_scale=0.0):
@@ -152,17 +153,6 @@ def tv_norm(u, mode="anisotropic"):
     return float(u.spec.h ** (u.spec.d - 1) * s)
 
 
-def _freq_magnitude2(spec):
-    """|2 pi k / lam|^2 on the unshifted FFT layout."""
-    f = 2.0 * np.pi * np.fft.fftfreq(spec.n, d=1.0 / spec.n) / spec.lam
-    mags = []
-    for ax in range(spec.d):
-        sh = [1] * spec.d
-        sh[ax] = spec.n
-        mags.append((f**2).reshape(sh))
-    return sum(np.broadcast_arrays(*mags)) if spec.d > 1 else mags[0]
-
-
 SPECTRAL_ORDERS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
@@ -180,11 +170,10 @@ def spectral_norm(u, s, mean_scale=0.0):
         _require_mean_zero(u, f"spectral norm of order {s}", mean_scale)
     spec = u.spec
     c = np.fft.fftn(u.as_nd()) / spec.size
-    k2 = _freq_magnitude2(spec)
+    k2 = wavenumber2(spec)
     w = np.abs(c) ** 2
     zero = (0,) * spec.d
     w[zero] = 0.0
-    k2 = k2.copy()
     k2[zero] = 1.0  # excluded mode; value irrelevant
     total = np.sum(w * k2 ** float(s)) * spec.lam**spec.d
     return float(np.sqrt(total))
@@ -203,13 +192,7 @@ def doubleint_half_norm(f, cutoff):
     if not 0 < cutoff <= spec.lam / 2:
         raise ValueError(f"cutoff must lie in (0, lam/2], got {cutoff}")
     # offset kernel K(z) = 1/|z|^{d-1} on 0 < |z| <= cutoff, as a grid array
-    axes = []
-    for _ in range(spec.d):
-        z = spec.h * np.arange(spec.n)
-        z = np.minimum(z, spec.lam - z)
-        axes.append(z**2)
-    grids = np.meshgrid(*axes, indexing="ij") if spec.d > 1 else [axes[0]]
-    dist = np.sqrt(sum(grids))
+    dist = nearest_distance(spec, [[0] * spec.d])
     kern = np.zeros(spec.shape)
     mask = (dist > 0) & (dist <= cutoff)
     kern[mask] = dist[mask] ** -(spec.d - 1)
@@ -272,4 +255,4 @@ def norm_report(u, kind, **params):
         val = doubleint_half_norm(u, params["cutoff"])
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
-    return NormReport(kind=kind, value=val, params=params, metadata={})
+    return NormReport(kind=kind, value=val, params=params)

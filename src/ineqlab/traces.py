@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import fixtures
-from .grid import GridFunction, dilate
+from .grid import GridFunction, dilate, inf_convolve, wavenumber2
 from .inequalities import InequalityReport, TraceStep, _ratio, centered_half_norm, check
 from .levelgeom import (
     _coarea_sum,
@@ -50,25 +50,6 @@ def _tail_sum(u, threshold, power=1.0, weight=None):
     sel = a > threshold
     w = a[sel] ** power if weight is None else weight(a[sel])
     return float(np.sum(w) * u.spec.cell_volume)
-
-
-def _grad_l2(u):
-    """Spectral gradient L2 norm (equals the order-1 multiplier norm)."""
-    return spectral_norm(u, 1.0)
-
-
-def _grad_dot_spectral(f, g):
-    """integral grad f . grad g with the spectral gradient."""
-    spec = f.spec
-    fh = np.fft.fftn(f.as_nd()) / spec.size
-    gh = np.fft.fftn(g.as_nd()) / spec.size
-    k2 = np.zeros(spec.shape)
-    fr = (2 * np.pi * np.fft.fftfreq(spec.n, d=1.0 / spec.n) / spec.lam) ** 2
-    for ax in range(spec.d):
-        sh = [1] * spec.d
-        sh[ax] = spec.n
-        k2 = k2 + fr.reshape(sh)
-    return float(np.real(np.sum(k2 * fh * np.conj(gh))) * spec.lam**spec.d)
 
 
 def _inner(f, g):
@@ -118,7 +99,6 @@ def layer_cake_trace(u, M=16.0, mu_count=10):
 
     # per-level chain on a log grid restricted to resolvable radii
     lap_max = 0.0
-    kernels = {}
     mu_window = None
     if levels.size:
         mu_lo = max(levels.min(), (spec.lam / 2) ** (-3.0)) * 1.0000001
@@ -131,43 +111,33 @@ def layer_cake_trace(u, M=16.0, mu_count=10):
         for mu in mus:
             R = mu ** (-1 / 3)
             kern = make_kernel(spec, "smooth-bump", R)
-            kernels[mu] = kern
             lap_max = max(lap_max, kern.lap_const)
             chi = level_indicator(u, mu).as_grid()
             chi_r = kern.convolve(chi)
-            mollified[mu] = (chi, chi_r)
             int_abs_chi = integral(chi.with_values(np.abs(chi.values)))
+            # the cross-term bound of this level and the transform of chi_r
+            mollified[mu] = (kern.lap_const / R**2 * int_abs_chi, np.fft.fftn(chi_r.as_nd()) / spec.size)
             l1 = integral(chi.with_values(np.abs(chi.values - chi_r.values)))
+            grad = spectral_norm(chi_r, 1.0)  # L2 norm of the spectral gradient
             steps.append(TraceStep(f"mollify@{mu:.4g}", l1, R * tv_norm(chi)))
             steps.append(
-                TraceStep(
-                    f"kernel-grad@{mu:.4g}",
-                    _grad_l2(chi_r),
-                    kern.grad_const / R * np.sqrt(int_abs_chi),
-                )
+                TraceStep(f"kernel-grad@{mu:.4g}", grad, kern.grad_const / R * np.sqrt(int_abs_chi))
             )
-            steps.append(
-                TraceStep(
-                    f"duality@{mu:.4g}",
-                    _inner(chi_r, u),
-                    _grad_l2(chi_r) * hm1,
-                )
-            )
+            steps.append(TraceStep(f"duality@{mu:.4g}", _inner(chi_r, u), grad * hm1))
             split_lhs = _tail_sum(u, mu)
             split_rhs = M * mu * l1 + 2 * _tail_sum(u, M * mu) + _inner(chi_r, u)
             steps.append(TraceStep(f"split@{mu:.4g}", split_lhs, split_rhs))
-        # cross-term kernel bound over ordered level pairs
+        # cross-term kernel bound over ordered level pairs: the integral of
+        # grad chi_r . grad chi_r' with the spectral gradient, from the
+        # transforms of the mollified levels
+        k2 = wavenumber2(spec)
         mus_list = list(mus)
         worst = None
         for i, mu in enumerate(mus_list):
+            rhs, hat = mollified[mu]
+            k2_hat = k2 * hat
             for mup in mus_list[: i + 1]:
-                chi, chi_r = mollified[mu]
-                chi_rp = mollified[mup][1]
-                lhs = _grad_dot_spectral(chi_r, chi_rp)
-                R = mu ** (-1 / 3)
-                rhs = kernels[mu].lap_const / R**2 * integral(
-                    chi.with_values(np.abs(chi.values))
-                )
+                lhs = float(np.real(np.sum(k2_hat * np.conj(mollified[mup][1]))) * spec.lam**spec.d)
                 if worst is None or (rhs - lhs) < (worst.rhs - worst.lhs):
                     worst = TraceStep(f"cross-term@{mu:.4g},{mup:.4g}", lhs, rhs)
         if worst is not None:
@@ -315,19 +285,13 @@ def prop2_trace(u, M=8.0, mu_count=8):
 # ----------------------------------------------------------------- prop3
 
 
-def _max_conv_quadratic(spec, values, inv_eps2):
-    """psi(y) = max_x (values(x) - inv_eps2 * torus_dist(x,y)^2), separably."""
-    arr = values.reshape(spec.shape).copy()
-    z = spec.h * np.arange(spec.n)
-    z = np.minimum(z, spec.lam - z)
-    penalty = inv_eps2 * z**2
-    for ax in range(spec.d):
-        moved = np.moveaxis(arr, ax, -1)
-        out = np.full_like(moved, -np.inf)
-        for off in range(spec.n):
-            out = np.maximum(out, np.roll(moved, off, axis=-1) - penalty[off])
-        arr = np.moveaxis(out, -1, ax)
-    return arr.ravel()
+def _dual_candidate(spec, values, eps):
+    """psi(y) = max(max_x values(x) - |x - y|^2 / eps^2, 0) on the torus.
+
+    0.0 - min(-values + penalty) equals values - penalty bit for bit, and
+    is +0.0 where they cancel.
+    """
+    return np.maximum(0.0 - inf_convolve(spec, -values, 1.0 / eps**2).ravel(), 0.0)
 
 
 def claim_a_sandwich():
@@ -415,18 +379,16 @@ def prop3_trace(u, eps=0.25, mu_count=8, w2_kw=None):
         )
         steps.append(TraceStep(f"peak@{mu:.4g}", mu * _inner(chi, phi_mu), _inner(phi_mu, u)))
         phi_acc += w * mu ** p * phi_mu.values
-        psi_mu = np.maximum(
-            _max_conv_quadratic(spec, c1 * mu**p * phi_mu.values, 1.0 / eps**2), 0.0
-        )
+        psi_mu = _dual_candidate(spec, c1 * mu**p * phi_mu.values, eps)
         claim_rhs_acc += 2 * w * psi_mu
         geom_rhs_acc += w * mu**pmass * 2 * R * tv_norm(chi)
         t_q += w * mu**pmass * integral(chi)
 
     phi = GridFunction(spec, phi_acc)
-    psi_vals = np.maximum(_max_conv_quadratic(spec, phi_acc, 1.0 / eps**2), 0.0)
+    psi_vals = _dual_candidate(spec, phi_acc, eps)
     int_psi = float(np.sum(psi_vals) * spec.cell_volume)
     w2 = w2_to_uniform(u, **w2_kw)
-    kant_rhs = w2.value / eps**2 + int_psi
+    kant_rhs = w2.lower / eps**2 + int_psi
     steps.append(TraceStep("kantorovich", _inner(phi, u), kant_rhs))
 
     # pointwise dyadic bound on the dual candidate (claim 1a)
@@ -438,10 +400,10 @@ def prop3_trace(u, eps=0.25, mu_count=8, w2_kw=None):
     steps.append(TraceStep("absorb", int_psi, 0.5 * t_q if t_q > 0 else int_psi))
 
     extra.update({"T_quadrature": t_q, "int_psi": int_psi, "w2": w2.value})
-    return _trace_report("prop3-trace", steps, t_q, assembled_rhs, extra)
+    return _trace_report("prop3-trace", steps, t_q, assembled_rhs, extra, w2.bounds_below)
 
 
-def _trace_report(name, steps, lhs, rhs, extra):
+def _trace_report(name, steps, lhs, rhs, extra, certified=True):
     ratio, degenerate = _ratio(lhs, rhs)
     skip = {"absorb"}
     passed = all(
@@ -458,6 +420,7 @@ def _trace_report(name, steps, lhs, rhs, extra):
         constant=1.0,
         passed=passed,
         degenerate=degenerate,
+        certified=certified,
         steps=tuple(steps),
         extra=extra,
     )
@@ -477,10 +440,11 @@ def prop5_trace(u, v, nu, constant=None, w2_kw=None):
     steps = []
 
     tv = tv_norm(u)
-    w2 = w2_squared(u, v, **w2_kw).value
+    res = w2_squared(u, v, **w2_kw)
+    w2 = res.value
     half = centered_half_norm(v) ** 2
     lhs1 = lp_norm(u.with_values(np.maximum(u.values - 1.0, 0.0)), pw) ** pw
-    steps.append(TraceStep("nu1", lhs1, 2 * c * (tv + w2 + half)))
+    steps.append(TraceStep("nu1", lhs1, 2 * c * (tv + res.lower + half)))
 
     # exact homogeneity of the three terms under dilation
     ell, m = 2.0, 3.0
@@ -510,6 +474,7 @@ def prop5_trace(u, v, nu, constant=None, w2_kw=None):
         ratio=final.ratio,
         constant=c,
         passed=bool(scale_ok and ineq_ok),
+        certified=res.bounds_below and final.certified,
         steps=tuple(steps),
         extra={"terms": final.extra.get("terms", {}), "scale_exact": scale_ok},
     )

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, torus_gap
 
 EXACT_SUPPORT_CAP = 4096  # max (#source support) x (#target support)
 MASS_RTOL = 1e-9
@@ -101,6 +101,17 @@ class TransportResult:
     gap: float  # primal - dual (certified nonnegative up to round-off)
     marginal_residual: float
 
+    @property
+    def lower(self):
+        """Certified lower bound: the exact value, or for Sinkhorn (whose value
+        is the primal, an upper bound) the dual side value - gap, floored at 0."""
+        return self.value if self.method == "exact" else max(self.value - self.gap, 0.0)
+
+    @property
+    def bounds_below(self):
+        """False when an inexact solve certifies no positive lower bound."""
+        return self.method == "exact" or self.lower > 0
+
 
 def _cell_centers(spec, idx):
     coords = np.unravel_index(idx, spec.shape)
@@ -110,9 +121,7 @@ def _cell_centers(spec, idx):
 def _cost_matrix(spec, src_idx, dst_idx):
     xs = _cell_centers(spec, src_idx)
     xt = _cell_centers(spec, dst_idx)
-    diff = np.abs(xs[:, None, :] - xt[None, :, :])
-    diff = np.minimum(diff, spec.lam - diff)
-    return np.sum(diff**2, axis=-1)
+    return np.sum(torus_gap(spec, xs[:, None, :] - xt[None, :, :]) ** 2, axis=-1)
 
 
 def _check_pair(u, v, normalize):

