@@ -420,7 +420,7 @@ def execute(cfg):
     return 0 if ok else 1
 
 
-def _add_common(sp):
+def _add_common(sp, transport=True):
     sp.add_argument("--family")
     sp.add_argument("--d", default="2")
     sp.add_argument("--n", default="64")
@@ -428,9 +428,10 @@ def _add_common(sp):
     sp.add_argument("--seed", default="0")
     sp.add_argument("--seeds")
     sp.add_argument("--params", help="family parameters k=v,k=v (fractions allowed)")
-    sp.add_argument("--support-cap", dest="support_cap")
-    sp.add_argument("--method", help="transport method (exact or sinkhorn)")
     sp.add_argument("--out", default=".")
+    if transport:  # only the commands that solve W_2 read them
+        sp.add_argument("--support-cap", dest="support_cap")
+        sp.add_argument("--method", help="transport method (exact or sinkhorn)")
 
 
 def build_parser():
@@ -442,7 +443,7 @@ def build_parser():
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--kind")
     sp.add_argument("--kind-params", dest="kind_params")
-    _add_common(sp)
+    _add_common(sp, transport=False)
 
     for name in ("check", "sweep"):
         sp = sub.add_parser(name)
@@ -451,7 +452,8 @@ def build_parser():
         sp.add_argument("--nu")
         sp.add_argument("--phi")
         sp.add_argument("--threshold")
-        sp.add_argument("--plot", action="store_true")
+        if name == "sweep":  # check writes no plot
+            sp.add_argument("--plot", action="store_true")
         _add_common(sp)
 
     sp = sub.add_parser("trace")
@@ -477,7 +479,7 @@ def build_parser():
     sp = sub.add_parser("cover")
     sp.add_argument("--R", required=True)
     sp.add_argument("--L", required=True)
-    _add_common(sp)
+    _add_common(sp, transport=False)
 
     sp = sub.add_parser("scaling")
     sp.add_argument("--functional", required=True)

@@ -122,6 +122,17 @@ def make(spec, values):
     return GridFunction(spec, values)
 
 
+def require(cond, message):
+    """Raise ValueError(message) unless cond holds: the one input guard."""
+    if not cond:
+        raise ValueError(message)
+
+
+def is_binary(values):
+    """True when every value is 0 or 1."""
+    return bool(np.all((values == 0) | (values == 1)))
+
+
 # ------------------------------------------- torus geometry and wave numbers
 
 

@@ -32,9 +32,10 @@ import numpy as np
 
 from . import fixtures
 from .families import FamilySpec, generate, parameter_box
-from .grid import dilate, refine, tile
+from .grid import dilate, is_binary, refine, require, tile
 from .norms import (
     _has_mean_zero,
+    centered_norm,
     gn_rhs,
     log_weighted_l43,
     lp_norm,
@@ -45,17 +46,35 @@ from .norms import (
 )
 from .transport import w2_squared, w2_to_uniform
 
-INEQUALITY_IDS = (
-    "prop1",
-    "gn",
-    "weak1",
-    "prop2",
-    "weaklog",
-    "geomest",
-    "prop3",
-    "prop5",
-    "prop4",
-)
+_MEAN_ZERO = (_has_mean_zero, "mean(u) = 0")
+_ABOVE_MINUS_ONE = (lambda u: u.values.min() >= -1 - 1e-12, "u >= -1")
+_NONNEGATIVE = (lambda u: u.values.min() >= 0, "u >= 0")
+
+# The field class each inequality and its proof trace hold on, as (predicate, statement)
+# rows checked in order; conditions on v, nu, q or the constant stay with the check.
+PRECONDITIONS = {
+    "prop1": (_MEAN_ZERO,),
+    "gn": (_MEAN_ZERO,),
+    "weak1": (_MEAN_ZERO,),
+    "prop2": ((lambda u: u.spec.d == 2, "d = 2"), _ABOVE_MINUS_ONE, _MEAN_ZERO),
+    "weaklog": (_ABOVE_MINUS_ONE, _MEAN_ZERO),
+    "geomest": (
+        (lambda u: is_binary(u.values), "binary {0,1} field"),
+        (lambda u: 0 < u.mean < 0.5, "0 < fraction < 1/2"),
+    ),
+    "prop3": (_NONNEGATIVE, (lambda u: abs(u.mean - 1) <= 1e-9, "mean(u) = 1")),
+    "prop5": (_NONNEGATIVE,),
+    "prop4": (_NONNEGATIVE,),
+}
+
+
+def require_preconditions(ineq_id, u):
+    """Raise ValueError naming the first row of PRECONDITIONS[ineq_id] that u violates."""
+    require(ineq_id in PRECONDITIONS, f"unknown inequality id {ineq_id!r}")
+    for holds, statement in PRECONDITIONS[ineq_id]:
+        if not holds(u):  # the statistics cost a pass over u: format them only on failure
+            stats = f"d = {u.spec.d}, mean {u.mean:g}, min {u.values.min():g}"
+            raise ValueError(f"precondition violated: {statement} (got {stats})")
 
 
 @dataclass(frozen=True)
@@ -67,6 +86,10 @@ class TraceStep:
     @property
     def slack(self):
         return self.rhs - self.lhs
+
+    def holds(self):
+        """The trace verdict: slack >= -band * max(|rhs|, 1), band = BANDS["trace"]."""
+        return self.slack >= -fixtures.band("trace") * max(abs(self.rhs), 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,26 +134,15 @@ def _ratio(lhs, rhs):
     return (0.0, True) if lhs == 0 else (np.inf, False)
 
 
-def _require(cond, message):
-    if not cond:
-        raise ValueError(message)
-
-
-def _require_mean_zero(u):
-    _require(_has_mean_zero(u), f"precondition violated: mean(u) = 0 (got {u.mean:g})")
-
-
 def _interp_rhs(u):
     return float(np.sqrt(tv_norm(u)) * np.sqrt(spectral_norm(u, -1)))
 
 
-def centered_half_norm(v):
-    """order -1/2 seminorm of v minus its mean (0 for numerically constant v)."""
-    c = v.values - v.mean
-    scale = float(np.max(np.abs(v.values))) if v.values.size else 0.0
-    if float(np.max(np.abs(c))) <= 1e-13 * max(scale, 1e-300):
-        return 0.0
-    return spectral_norm(v.with_values(c), -0.5, mean_scale=scale)
+def prop3_rhs(u, w2):
+    """tv^{2d/(2+3d)} (W_2^2(u, 1))^{d/(2+3d)}.  W_2 bounds the left side, so
+    an inexact solve enters by its certified lower side."""
+    d = u.spec.d
+    return tv_norm(u) ** (2 * d / (2 + 3 * d)) * w2.lower ** (d / (2 + 3 * d))
 
 
 def _plus_power_norm(u, shift, p):
@@ -146,73 +158,58 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
     The pass flag compares the ratio against `constant` (defaulting to the
     committed fixture constant for the inequality).
     """
+    require_preconditions(ineq_id, u)
     w2_kw = dict(w2_kw or {})
     d = u.spec.d
     extra = {}
     certified = True
 
     if ineq_id == "prop1":
-        _require_mean_zero(u)
         lhs, rhs = lp_norm(u, 4 / 3), _interp_rhs(u)
     elif ineq_id == "gn":
-        _require(q is not None, "gn needs the gradient exponent q")
-        _require_mean_zero(u)
+        require(q is not None, "gn needs the gradient exponent q")
         p = 4 * q / (2 + q)
         lhs, rhs = lp_norm(u, p), gn_rhs(u, q)
         extra["p"] = p
     elif ineq_id == "weak1":
-        _require_mean_zero(u)
         lhs, rhs = weak_lp_norm(u, 4 / 3), _interp_rhs(u)
     elif ineq_id == "prop2":
-        _require(d == 2, f"precondition violated: d = 2 (got {d})")
-        _require(u.values.min() >= -1 - 1e-12, "precondition violated: u >= -1")
-        _require_mean_zero(u)
         lhs, rhs = log_weighted_l43(u), _interp_rhs(u)
     elif ineq_id == "weaklog":
-        _require(u.values.min() >= -1 - 1e-12, "precondition violated: u >= -1")
-        _require_mean_zero(u)
         lhs, rhs = weak_log_norm(u), _interp_rhs(u)
     elif ineq_id == "geomest":
-        vals = set(np.unique(u.values).tolist())
-        _require(vals <= {0.0, 1.0}, "precondition violated: binary {0,1} field")
         phi = u.mean
-        _require(0 < phi < 0.5, f"precondition violated: 0 < fraction < 1/2 (got {phi:g})")
         vol = u.spec.lam**d
         centered = u.with_values(u.values - phi)
         lhs = phi * np.log(1 / phi) ** (1 / 3)
         rhs = (tv_norm(u) / vol) ** (2 / 3) * (spectral_norm(centered, -1) ** 2 / vol) ** (1 / 3)
         extra["phi"] = phi
     elif ineq_id == "prop3":
-        _require(u.values.min() >= 0, "precondition violated: u >= 0")
-        _require(abs(u.mean - 1) <= 1e-9, f"precondition violated: mean(u) = 1 (got {u.mean:g})")
         c = fixtures.constant("prop3") if c_thr is None else c_thr
         p = (2 + 3 * d) / (3 * d)
         w2 = w2_to_uniform(u, **w2_kw)
-        lhs = _plus_power_norm(u, c, p)
-        # W2 bounds the left side, so an inexact solve enters by its lower side
-        rhs = tv_norm(u) ** (2 * d / (2 + 3 * d)) * w2.lower ** (d / (2 + 3 * d))
+        lhs, rhs = _plus_power_norm(u, c, p), prop3_rhs(u, w2)
         certified = w2.bounds_below
         extra.update({"p": p, "threshold": c, "w2": w2.value, "w2_gap": w2.gap})
     elif ineq_id == "prop5":
-        _require(v is not None and nu is not None, "prop5 needs v and nu")
-        _require(u.values.min() >= 0, "precondition violated: u >= 0")
-        _require(v.values.min() >= 0, "precondition violated: v >= 0")
-        phi = u.mean
-        _require(
-            abs(v.mean - phi) <= 1e-9 * max(abs(phi), 1e-300),
-            f"precondition violated: equal means (got {phi:g} vs {v.mean:g})",
+        require(v is not None and nu is not None, "prop5 needs v and nu")
+        require(v.values.min() >= 0, "precondition violated: v >= 0")
+        phi, vbar = u.mean, v.mean
+        require(
+            abs(vbar - phi) <= 1e-9 * max(abs(phi), 1e-300),
+            f"precondition violated: equal means (got {phi:g} vs {vbar:g})",
         )
         cfix = fixtures.constant("prop5")
         if constant is not None and np.isfinite(constant):
             cfix = constant
         thr_exp = (3 * d + 1) / (3 * d + 3)
-        _require(
+        require(
             phi <= nu**thr_exp / (2 * cfix) + 1e-12,
             f"precondition violated: Phi <= nu^{{(3d+1)/(3d+3)}}/(2C) (Phi={phi:g})",
         )
         p = (3 * d + 3) / (3 * d + 1)
         w2 = w2_squared(u, v, **w2_kw)
-        half = centered_half_norm(v) ** 2
+        half = centered_norm(v, -0.5) ** 2
         terms = {
             "tv": tv_norm(u),
             "w2": nu ** (2 / (d + 1)) * w2.lower,
@@ -221,9 +218,9 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
         lhs = _plus_power_norm(u, nu**thr_exp, p)
         rhs = sum(terms.values()) ** (1 / p)
         certified = w2.bounds_below
-        extra.update({"p": p, "nu": nu, "phi": phi, "terms": terms, "w2_gap": w2.gap})
-    elif ineq_id == "prop4":
-        _require(u.values.min() >= 0, "precondition violated: u >= 0")
+        extra.update({"p": p, "nu": nu, "phi": phi, "terms": terms, "w2_gap": w2.gap,
+                      "transport": w2})
+    else:  # prop4
         nu_grid = nu_grid if nu_grid is not None else np.logspace(-2, 2, 9)
         h = u.spec.h
         if scales is None:
@@ -236,7 +233,7 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
         p = (3 * d + 3) / (3 * d + 1)
         candidates = [u] + [make_kernel(u.spec, "smooth-bump", r).convolve(u) for r in radii]
         # W2 and the half norm do not depend on nu: one solve per candidate
-        terms = [(w2_squared(u, v_, **w2_kw).value, centered_half_norm(v_) ** 2) for v_ in candidates]
+        terms = [(w2_squared(u, v_, **w2_kw).value, centered_norm(v_, -0.5) ** 2) for v_ in candidates]
         best = -np.inf
         for nu_ in nu_grid:
             inner = np.inf
@@ -252,8 +249,6 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
         # the additive prop5 form plus its exact rescaling
         extra.update({"p": p, "sup_inf": best, "kernel_radii": radii, "certified": False,
                       "certified_route": "prop5"})
-    else:
-        raise ValueError(f"unknown inequality id {ineq_id!r}")
 
     ratio, degenerate = _ratio(lhs, rhs)
     cpass = fixtures.constant(ineq_id, q=q) if constant is None else constant
@@ -358,11 +353,9 @@ def _calibrate_prop3(specs, tol=1e-3, **kw):
     certified = True
     for fs in specs:
         u = generate(fs)
-        d = u.spec.d
-        p = (2 + 3 * d) / (3 * d)
+        require_preconditions("prop3", u)
         w2 = w2_to_uniform(u, **dict(kw.get("w2_kw", {})))
-        rhs = tv_norm(u) ** (2 * d / (2 + 3 * d)) * w2.lower ** (d / (2 + 3 * d))
-        data.append((u, p, rhs, fs))
+        data.append((u, (2 + 3 * u.spec.d) / (3 * u.spec.d), prop3_rhs(u, w2), fs))
         certified &= w2.bounds_below
 
     def feasible(c):

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, nearest_distance, torus_gap, wavenumber2, wavenumbers
+from .grid import (GridFunction, GridSpec, is_binary, nearest_distance, require, torus_gap, wavenumber2,
+                   wavenumbers)
 from .norms import _level_sums, tv_norm
 
 
@@ -176,19 +177,12 @@ def density_set(chi, radius):
     Implemented as thresholding the hard-disc mollification at 1/2, which is
     the same statement cell-exactly.
     """
-    _require_binary(chi)
-    if radius < 2 * chi.spec.h:
-        raise ValueError("density radius below 2h: the R/2 ball holds no neighbors")
+    require(is_binary(chi.values), "expected a binary {0,1} function")
+    require(radius >= 2 * chi.spec.h, "density radius below 2h: the R/2 ball holds no neighbors")
     kernel = make_kernel(chi.spec, "hard-disc", radius)
     smoothed = kernel.convolve(chi)
     # guard the strict inequality against convolution round-off
     return smoothed.values > 0.5 + 1e-12
-
-
-def _require_binary(chi):
-    vals = np.unique(chi.values)
-    if not set(vals.tolist()) <= {0.0, 1.0}:
-        raise ValueError("expected a binary {0,1} function")
 
 
 def _torus_dist2_cells(spec, cells, center_cell):
@@ -352,9 +346,8 @@ def verify_geom_claims(chi, radius, outer):
       capmass   per-center discrete capacity mass vs 2 pi / ln(L/R) (ratio ~ 1)
       claim2a   integral grad phi . grad phi' (phi' = phi) <= claim5 lhs
     """
-    if chi.spec.d != 2:
-        raise ValueError("geometry claims are verified in d = 2")
-    _require_binary(chi)
+    require(chi.spec.d == 2, "geometry claims are verified in d = 2")
+    require(is_binary(chi.values), "expected a binary {0,1} function")
     spec = chi.spec
 
     kernel = make_kernel(spec, "hard-disc", radius)

@@ -40,11 +40,6 @@ def _has_mean_zero(u, ref_scale=0.0):
     return abs(u.mean) <= MEAN_ZERO_RTOL * max(scale, ref_scale, 1e-300)
 
 
-def _require_mean_zero(u, what, ref_scale=0.0):
-    if not _has_mean_zero(u, ref_scale):
-        raise ValueError(f"{what} requires vanishing mean, got mean {u.mean:g}")
-
-
 def lp_norm(u, p):
     """(h^d sum |u|^p)^(1/p); p = inf gives the max norm."""
     if p != np.inf and p < 1:
@@ -166,8 +161,8 @@ def spectral_norm(u, s, mean_scale=0.0):
     """
     if float(s) not in SPECTRAL_ORDERS:
         raise ValueError(f"unsupported spectral order {s}")
-    if s < 0:
-        _require_mean_zero(u, f"spectral norm of order {s}", mean_scale)
+    if s < 0 and not _has_mean_zero(u, mean_scale):
+        raise ValueError(f"spectral norm of order {s} requires vanishing mean, got mean {u.mean:g}")
     spec = u.spec
     c = np.fft.fftn(u.as_nd()) / spec.size
     k2 = wavenumber2(spec)
@@ -177,6 +172,15 @@ def spectral_norm(u, s, mean_scale=0.0):
     k2[zero] = 1.0  # excluded mode; value irrelevant
     total = np.sum(w * k2 ** float(s)) * spec.lam**spec.d
     return float(np.sqrt(total))
+
+
+def centered_norm(v, s):
+    """Order-s spectral norm of v minus its mean (0 for numerically constant v)."""
+    c = v.values - v.mean
+    scale = float(np.max(np.abs(v.values)))
+    if float(np.max(np.abs(c))) <= 1e-13 * max(scale, 1e-300):
+        return 0.0
+    return spectral_norm(v.with_values(c), s, mean_scale=scale)
 
 
 def doubleint_half_norm(f, cutoff):
@@ -230,7 +234,8 @@ def gn_rhs(u, q):
     """
     if q != np.inf and q < 1:
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
-    _require_mean_zero(u, "gradient/inverse-gradient product")
+    if not _has_mean_zero(u):
+        raise ValueError(f"gradient/inverse-gradient product requires vanishing mean, got mean {u.mean:g}")
     gq = spectral_norm(u, 1.0) if q == 2 else grad_q_norm(u, q)
     return float(np.sqrt(gq) * np.sqrt(spectral_norm(u, -1.0)))
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grid import GridFunction, GridSpec, torus_gap
+from .grid import GridFunction, GridSpec, require, torus_gap
 
 EXACT_SUPPORT_CAP = 4096  # max (#source support) x (#target support)
 MASS_RTOL = 1e-9
@@ -124,7 +124,10 @@ def _cost_matrix(spec, src_idx, dst_idx):
     return np.sum(torus_gap(spec, xs[:, None, :] - xt[None, :, :]) ** 2, axis=-1)
 
 
-def _check_pair(u, v, normalize):
+def _check_pair(u, v, normalize=False):
+    """Both arguments as measures (densities via h^d) of equal mass on one grid;
+    normalize rescales v to u's mass instead of erroring."""
+    u, v = (DiscreteMeasure.from_density(w) if isinstance(w, GridFunction) else w for w in (u, v))
     if u.spec != v.spec:
         raise ValueError("measures live on different grids")
     mu, mv = u.total, v.total
@@ -328,10 +331,6 @@ def w2_squared(u, v, method="exact", eps=0.01, iters=500, support_cap=None, norm
     support_cap : override of the exact-solver support product cap
     normalize : rescale v to u's total mass instead of erroring
     """
-    if isinstance(u, GridFunction):
-        u = DiscreteMeasure.from_density(u)
-    if isinstance(v, GridFunction):
-        v = DiscreteMeasure.from_density(v)
     u, v = _check_pair(u, v, normalize)
     if u.total == 0:
         return _empty_result(method)
@@ -360,10 +359,7 @@ def w2_to_uniform(u, method="exact", **kw):
 
 def duality_gap(plan, duals, u, v, rtol=1e-9):
     """Primal cost minus dual value, after validating feasibility of both."""
-    if isinstance(u, GridFunction):
-        u = DiscreteMeasure.from_density(u)
-    if isinstance(v, GridFunction):
-        v = DiscreteMeasure.from_density(v)
+    u, v = _check_pair(u, v)
     scale = max(u.total, v.total, 1e-300)
     if np.max(np.abs(plan.row_masses(u.spec.size) - u.masses)) > rtol * scale:
         raise ValueError("plan row marginals do not match the source measure")
@@ -396,13 +392,8 @@ def w2_circle_1d(u, v):
     u coincides with a shifted cumulative mass of v.  All such kinks are
     enumerated and the quantile integral is evaluated exactly on each.
     """
-    if isinstance(u, GridFunction):
-        u = DiscreteMeasure.from_density(u)
-    if isinstance(v, GridFunction):
-        v = DiscreteMeasure.from_density(v)
-    if u.spec.d != 1:
-        raise ValueError("the rearrangement oracle is one dimensional")
-    u, v = _check_pair(u, v, normalize=False)
+    u, v = _check_pair(u, v)
+    require(u.spec.d == 1, "the rearrangement oracle is one dimensional")
     if u.total == 0:
         return 0.0
     lam = u.spec.lam

@@ -75,6 +75,26 @@ def test_usage_error_unknown_flag():
     assert run(["check", "--id", "prop1", "--no-such-flag"]) == 2
 
 
+@pytest.mark.parametrize("base,dead", [
+    (["check", "--id", "prop1", "--family", "random-steps", "--d", "1", "--n", "16"], ["--plot"]),
+    (["norms", "--family", "random-steps", "--d", "1", "--n", "16", "--kind", "tv"], ["--method", "exact"]),
+    (["norms", "--family", "random-steps", "--d", "1", "--n", "16", "--kind", "tv"], ["--support-cap", "64"]),
+    (["cover", "--family", "ball-lattice", "--params", "n_balls=1,phi=0.1", "--n", "64", "--R", "1/16",
+      "--L", "1/4"], ["--method", "bogus"]),
+    (["cover", "--family", "ball-lattice", "--params", "n_balls=1,phi=0.1", "--n", "64", "--R", "1/16",
+      "--L", "1/4"], ["--support-cap", "64"]),
+])
+def test_options_that_do_nothing_are_rejected(base, dead, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "r")]
+    assert run(base + dead + out) == 2
+    assert f"unrecognized arguments: {dead[0]}" in capsys.readouterr().err
+    assert run(base + out) == 0
+    # a run.cfg written before the options were removed still replays
+    with open(tmp_path / "r" / "run.cfg", "a") as fh:
+        fh.write(f"{dead[0][2:]}={dead[-1] if len(dead) > 1 else '1'}\n")
+    assert run(["report", str(tmp_path / "r" / "run.cfg")]) == 0
+
+
 def test_usage_error_no_command():
     assert run([]) == 2
 

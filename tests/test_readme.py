@@ -16,6 +16,11 @@ def readme_commands():
     return [shlex.split(line, comments=True) for line in lines if line.strip()]
 
 
+def write_field(path="field.pgf"):
+    """The grid file the README's `norms --in field.pgf` line reads."""
+    save_grid(generate(FamilySpec(GridSpec(2, 32, 1.0), "random-fourier", {"kmax": 4}, 1)), path)
+
+
 def test_readme_block_found():
     cmds = readme_commands()
     assert len(cmds) >= 10
@@ -24,7 +29,6 @@ def test_readme_block_found():
 
 def test_readme_commands_exit_zero(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    field = generate(FamilySpec(GridSpec(2, 32, 1.0), "random-fourier", {"kmax": 4}, 1))
-    save_grid(field, "field.pgf")
+    write_field()
     for argv in readme_commands():  # in order: `report` re-runs an earlier config
         assert main(argv[1:]) == 0, " ".join(argv)

@@ -4,9 +4,10 @@ import pytest
 from ineqlab import fixtures
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, make
-from ineqlab.inequalities import centered_half_norm, rescale_to_mean
-from ineqlab.norms import tv_norm
+from ineqlab.inequalities import TraceStep, rescale_to_mean
+from ineqlab.norms import centered_norm, tv_norm
 from ineqlab.traces import (
+    _trace_report,
     claim_a_sandwich,
     claim_b_case,
     claim_b_constant,
@@ -219,6 +220,39 @@ def test_prop5_trace_sinkhorn_negative_dual_is_not_certified():
     rep = prop5_trace(u, v, nu, w2_kw={"method": "sinkhorn"})
     nu1 = rep.steps[0]
     assert nu1.step == "nu1"
-    assert nu1.rhs == 2 * c * (tv_norm(u) + 0.0 + centered_half_norm(v) ** 2)
+    assert nu1.rhs == 2 * c * (tv_norm(u) + 0.0 + centered_norm(v, -0.5) ** 2)
     assert not rep.certified
     assert prop5_trace(u, v, nu).certified
+
+
+def test_prop5_trace_solves_each_pair_once_and_validates_first(monkeypatch):
+    from ineqlab import inequalities, traces
+
+    calls = []
+    solve = inequalities.w2_squared
+
+    def counting(*a, **k):
+        calls.append(1)
+        return solve(*a, **k)
+
+    monkeypatch.setattr(inequalities, "w2_squared", counting)
+    monkeypatch.setattr(traces, "w2_squared", counting)
+    u, v, nu = prop5_pair()
+    rep = prop5_trace(u, v, nu, constant=2.0, w2_kw={"support_cap": 65536})
+    assert len(calls) == 2  # W2(u, v) and the dilated pair
+    assert [s.step for s in rep.steps] == ["nu1", "scale-tv", "scale-w2", "scale-half", "nu-form"]
+    calls.clear()
+    with pytest.raises(ValueError, match="Phi"):
+        prop5_trace(u, v, 1e-6)  # nu below the admissibility floor
+    assert calls == []
+
+
+def test_trace_verdict_is_relative_above_unit_rhs():
+    band = TRACE_BAND
+    assert TraceStep("s", 1.0, 1.0 - 0.5 * band).holds()
+    assert not TraceStep("s", 1.0, 1.0 - 2 * band).holds()
+    assert TraceStep("s", 1e6 * (1 + 0.5 * band), 1e6).holds()
+    assert not TraceStep("s", 1e6 * (1 + 2 * band), 1e6).holds()
+    # 'absorb' is recorded, not asserted; any other failing step fails the trace
+    assert _trace_report("t", [TraceStep("absorb", 2.0, 1.0)], 0.0, 0.0, {}).passed
+    assert not _trace_report("t", [TraceStep("geom@1", 2.0, 1.0)], 0.0, 0.0, {}).passed

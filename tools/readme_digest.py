@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Run every README CLI line plus one `check` per inequality id, one
+`trace` per trace id, a prop3 and a prop2 calibration and the
+superconductor chain in a fresh directory, and print the exit code of
+each command and a sha256 per output file.
+
+    PYTHONPATH=src python tools/readme_digest.py <out_dir>
+
+<out_dir> must not exist yet.  Two checkouts produce byte-identical
+outputs exactly when their printed digests are equal, so comparing two
+commits is one `diff` of this script's output at each.
+"""
+
+import hashlib
+import os
+import shlex
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+
+from test_readme import readme_commands, write_field  # noqa: E402
+
+from ineqlab.cli import main as cli_main  # noqa: E402
+
+BIG_CAP = "--support-cap 4194304"
+EXTRA = [
+    "check --id prop1 --family random-steps --d 2 --n 64 --seed 2 --out chk-prop1",
+    "check --id gn --q 4 --family random-steps --d 2 --n 64 --seed 1 --out chk-gn",
+    "check --id weak1 --family random-steps --d 2 --n 64 --seed 1 --out chk-weak1",
+    "check --id prop2 --family ostwald --params phi=1/16,n_balls=2 --d 2 --n 64 --out chk-prop2",
+    "check --id weaklog --family ostwald --params phi=1/16,n_balls=2 --d 2 --n 64 --out chk-weaklog",
+    "check --id geomest --family ball-lattice --params phi=1/16,n_balls=4 --d 2 --n 128 --out chk-geomest",
+    f"check --id prop3 --family ball-lattice --params phi=0.2,mean=1 --d 2 --n 16 {BIG_CAP} --out chk-prop3",
+    "check --id prop5 --family ball-lattice --params phi=0.1,n_balls=2 --d 2 --n 16 --phi 0.02 --nu 0.05 "
+    "--seeds 0..2 --out chk-prop5",
+    f"check --id prop4 --family single-bump --params radius=0.2 --d 2 --n 16 {BIG_CAP} --out chk-prop4",
+    "trace --id layer-cake --family random-steps --params scale=64 --d 2 --n 32 --seed 1 --out tr-layer-cake",
+    "trace --id prop2 --family ostwald --params phi=1/16,n_balls=2 --d 2 --n 64 --mu-count 3 --out tr-prop2",
+    "trace --id prop3 --family ball-lattice --params phi=0.05,n_balls=2,mean=1 --d 2 --n 24 --eps 0.4 "
+    f"{BIG_CAP} --out tr-prop3",
+    "trace --id prop5 --family ball-lattice --params phi=0.1,n_balls=2 --d 2 --n 16 --phi 0.03 --nu 0.5 "
+    "--out tr-prop5",
+    f"calibrate --id prop3 --family ball-lattice --params phi=0.2,mean=1 --d 2 --n 16 --seeds 0..2 {BIG_CAP} "
+    "--out cal-prop3",
+    "calibrate --id prop2 --frozen --out cal-prop2",
+    "scaling --functional superconductor-chain --family ball-lattice --params phi=0.1,n_balls=1 --d 2 --n 16 "
+    f"--nu 0.5 {BIG_CAP} --out sc1",
+]
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True)
+    os.chdir(out)
+    write_field()
+    commands = [argv_[1:] for argv_ in readme_commands()] + [shlex.split(line) for line in EXTRA]
+    for args in commands:  # in order: the README's `report` line re-runs an earlier config
+        print(f"exit {cli_main(args)}  {' '.join(args)}")
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
