@@ -37,7 +37,6 @@ from .transport import (
 )
 from .levelgeom import (
     BallCover,
-    CoverPotential,
     MollifierKernel,
     capacity_potential,
     coarea_check,

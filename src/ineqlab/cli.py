@@ -166,9 +166,8 @@ def cmd_norms(cfg, outdir):
         kinds = [(cfg["kind"], _parse_params(cfg.get("kind-params", "")))]
     rows = []
     for kind, params in kinds:
-        rep = norm_report(u, kind, **params)
         pstr = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
-        rows.append([kind, pstr, rep.value])
+        rows.append([kind, pstr, norm_report(u, kind, **params)])
     write_csv(os.path.join(outdir, "norms.csv"), ["kind", "params", "value"], rows)
     return True
 
@@ -260,13 +259,7 @@ def cmd_calibrate(cfg, outdir):
     ineq_id = cfg["id"]
     kw = _check_kwargs(cfg)
     if cfg.get("frozen", "0") == "1":
-        specs = {
-            "prop1": fixtures.prop1_frozen_family,
-            "weak1": fixtures.prop1_frozen_family,
-            "prop2": fixtures.prop2_frozen_family,
-            "weaklog": fixtures.prop2_frozen_family,
-            "geomest": fixtures.geomest_sweep,
-        }[ineq_id]()
+        specs = fixtures.FROZEN[ineq_id]()
     else:
         specs = [_family_spec(cfg, s) for s in _seeds_from_cfg(cfg)]
     if ineq_id == "gn":

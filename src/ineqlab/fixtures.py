@@ -114,6 +114,17 @@ def geomest_calibration_family():
     return geomest_sweep() + extras
 
 
+# The frozen family each committed inequality constant is calibrated on
+# (`ineqlab calibrate --id <id> --frozen` and tools/refresh_fixtures.py).
+FROZEN = {
+    "prop1": prop1_frozen_family,
+    "weak1": prop1_frozen_family,
+    "prop2": prop2_frozen_family,
+    "weaklog": prop2_frozen_family,
+    "geomest": geomest_calibration_family,
+}
+
+
 def ostwald_sweep(n=256, n_balls=4):
     g = GridSpec(2, n, 1.0)
     return [FamilySpec(g, "ostwald", {"phi": 2.0**-k, "n_balls": n_balls}, 0) for k in range(4, 10)]

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fixtures
 from .families import FamilySpec, generate, parameter_box
-from .grid import dilate, is_binary, refine, require, tile
+from .grid import is_binary, require
 from .norms import (
     _has_mean_zero,
     centered_norm,
@@ -114,7 +114,6 @@ class CalibrationResult:
     constant: float
     argmax_desc: str
     ratios: tuple
-    stability: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
 
@@ -300,23 +299,7 @@ def prop5_instance(item, constant=None, **kw):
 # ------------------------------------------------------------- calibration
 
 
-def _stability(ineq_id, u, base_ratio, **kw):
-    """Ratio drift under refine, tile and pure dilation of the argmax input."""
-    out = {}
-    for name, g in (
-        ("refine", refine(u, 2)),
-        ("tile", tile(u, 2)),
-        ("dilate", dilate(u, 2, 1)),
-    ):
-        try:
-            r = check(ineq_id, g, **kw).ratio
-            out[name] = r / base_ratio - 1 if base_ratio > 0 else 0.0
-        except ValueError as err:  # e.g. transport cap exceeded after tiling
-            out[name] = f"skipped: {err}"
-    return out
-
-
-def calibrate(ineq_id, family_specs, *, with_stability=True, **kw):
+def calibrate(ineq_id, family_specs, **kw):
     """Empirical constant (max observed ratio) over a family sweep.
 
     For prop3 the threshold constant is additionally bisected to the
@@ -334,16 +317,12 @@ def calibrate(ineq_id, family_specs, *, with_stability=True, **kw):
     reports = parallel_map(lambda fs: check_family(ineq_id, fs, constant=np.inf, **kw), specs)
     ratios = [r.ratio for r in reports]
     imax = int(np.argmax(ratios))
-    stability = {}
-    if with_stability and ratios[imax] > 0:
-        stability = _stability(ineq_id, generate(specs[imax]), ratios[imax], constant=np.inf, **kw)
     return CalibrationResult(
         ineq_id=ineq_id,
         sweep_desc=f"{len(specs)} instances",
         constant=float(max(ratios)),
         argmax_desc=reports[imax].input_desc,
         ratios=tuple(ratios),
-        stability=stability,
     )
 
 
@@ -389,12 +368,12 @@ def _calibrate_prop3(specs, tol=1e-3, **kw):
 # -------------------------------------------------------------- extremizer
 
 
-def extremize(ineq_id, family, grid, budget, seed=0, n_starts=None, fixed=None, **kw):
+def extremize(ineq_id, family, grid, budget, seed=0, fixed=None, **kw):
     """Derivative-free ratio maximization over a family's parameter box.
 
-    Deterministic multi-start (even grid over the box plus Philox draws)
-    followed by Nelder-Mead refinement within the evaluation budget.
-    budget = 0 evaluates the starts only; negative budgets are rejected.
+    Deterministic multi-start (33 even starts on a 1-parameter box, else the
+    center plus 7 Philox draws), then Nelder-Mead within the evaluation
+    budget.  budget = 0 evaluates the starts only; negative budgets are rejected.
     """
     from scipy.optimize import minimize
 
@@ -419,13 +398,11 @@ def extremize(ineq_id, family, grid, budget, seed=0, n_starts=None, fixed=None, 
         evals.append((tuple(x.tolist()), val))
         return -val
 
-    if n_starts is None:
-        n_starts = 33 if len(box) == 1 else 8
     if len(box) == 1:
-        starts = np.linspace(lo[0], hi[0], n_starts)[:, None]
+        starts = np.linspace(lo[0], hi[0], 33)[:, None]
     else:
         rng = np.random.Generator(np.random.Philox(key=seed))
-        starts = lo + (hi - lo) * rng.random((n_starts, len(box)))
+        starts = lo + (hi - lo) * rng.random((8, len(box)))
         starts[0] = 0.5 * (lo + hi)
     start_vals = [-objective(s) for s in starts]
     order = np.argsort(start_vals)[::-1]

@@ -17,22 +17,11 @@ from .grid import (GridFunction, GridSpec, is_binary, nearest_distance, require,
 from .norms import _level_sums, tv_norm
 
 
-@dataclass(frozen=True)
-class SignedLevelIndicator:
-    spec: GridSpec
-    values: np.ndarray = field(repr=False)
-    level: float
-
-    def as_grid(self):
-        return GridFunction(self.spec, self.values.astype(float))
-
-
 def level_indicator(u, mu):
     """Signed indicator: +1 where u > mu, -1 where u < -mu, 0 otherwise."""
     if mu < 0:
         raise ValueError(f"level must be nonnegative, got {mu}")
-    v = np.where(u.values > mu, 1.0, np.where(u.values < -mu, -1.0, 0.0))
-    return SignedLevelIndicator(u.spec, v, float(mu))
+    return u.with_values(np.where(u.values > mu, 1.0, np.where(u.values < -mu, -1.0, 0.0)))
 
 
 def upper_level_set(u, mu):
@@ -105,15 +94,13 @@ def _spectral_l1_norms(spec, arr):
 def mollify(u, kernel):
     """Periodic convolution with a unit-mass kernel.
 
-    Returns (u_R, slack) where slack = R * tv(u) - ||u - u_R||_1 >= 0 is the
-    discrete analogue of the mollifier displacement bound.
+    Returns (u_R, ||u - u_R||_1); the displacement bound says the second is
+    at most R * tv(u).
     """
     if kernel.spec != u.spec:
         raise ValueError("kernel and function live on different grids")
     ur = kernel.convolve(u)
-    l1 = float(np.sum(np.abs(u.values - ur.values)) * u.spec.cell_volume)
-    slack = kernel.radius * tv_norm(u) - l1
-    return ur, slack
+    return ur, float(np.sum(np.abs(u.values - ur.values)) * u.spec.cell_volume)
 
 
 # ------------------------------------------------------------ coarea check
@@ -163,14 +150,6 @@ class BallCover:
         return (self.centers + 0.5) * self.spec.h
 
 
-@dataclass(frozen=True)
-class CoverPotential:
-    grid: GridFunction
-    radius: float
-    outer_radius: float
-    kind: str  # 'log-capacity' or 'indicator'
-
-
 def density_set(chi, radius):
     """Cells where {chi = 1} fills more than half of the R/2 ball around them.
 
@@ -208,7 +187,7 @@ def _row_slab(start, row, reach):
     return [slice(start[lo], start[hi])]
 
 
-def maximal_packing(chi_or_mask, radius, spec=None):
+def maximal_packing(mask, radius, spec):
     """Greedy lexicographic maximal packing of the density set.
 
     Scans the cells of Omega_R in row-major order and accepts any cell whose
@@ -221,14 +200,7 @@ def maximal_packing(chi_or_mask, radius, spec=None):
     closest pair within the slabs, unless no pair there is closer than the
     slab reach, when it falls back to comparing all pairs.
     """
-    if isinstance(chi_or_mask, GridFunction):
-        mask = chi_or_mask.values.astype(bool)
-        spec = chi_or_mask.spec
-    else:
-        mask = np.asarray(chi_or_mask).ravel()
-        if spec is None:
-            raise ValueError("need a GridSpec when passing a raw mask")
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(np.asarray(mask).ravel())
     if idx.size == 0:
         empty = np.zeros((0, spec.d), dtype=int)
         return BallCover(spec, empty, float(radius), np.inf)
@@ -259,13 +231,13 @@ def maximal_packing(chi_or_mask, radius, spec=None):
     return BallCover(spec, centers, float(radius), dmin)
 
 
-def capacity_potential(cover, radius, outer, spec=None):
+def capacity_potential(cover, radius, outer):
     """Pointwise max of radial log profiles: 1 on B_R, log decay to 0 at B_L.
 
     The profile decreases in r, so the max over centers is the profile of
     the distance to the nearest center.
     """
-    spec = cover.spec if spec is None else spec
+    spec = cover.spec
     if spec.d != 2:
         raise ValueError("log-capacity potentials are defined for d = 2 only")
     if not radius < outer:
@@ -276,14 +248,13 @@ def capacity_potential(cover, radius, outer, spec=None):
     lnLR = np.log(outer / radius)
     with np.errstate(divide="ignore"):  # no centers: r = inf, log 0 = -inf, clipped to 0
         vals = np.clip(np.log(outer / np.maximum(r, 1e-300)) / lnLR, 0.0, 1.0)
-    return CoverPotential(GridFunction(spec, vals.ravel()), float(radius), float(outer), "log-capacity")
+    return GridFunction(spec, vals.ravel())
 
 
-def indicator_potential(cover, radius, spec=None):
+def indicator_potential(cover, radius):
     """Characteristic function of the union of R-balls around the centers."""
-    spec = cover.spec if spec is None else spec
-    vals = (nearest_distance(spec, cover.centers) <= radius).astype(float)
-    return CoverPotential(GridFunction(spec, vals.ravel()), float(radius), float(radius), "indicator")
+    vals = (nearest_distance(cover.spec, cover.centers) <= radius).astype(float)
+    return GridFunction(cover.spec, vals.ravel())
 
 
 def neg_laplacian(u):
@@ -350,16 +321,13 @@ def verify_geom_claims(chi, radius, outer):
     require(is_binary(chi.values), "expected a binary {0,1} function")
     spec = chi.spec
 
-    kernel = make_kernel(spec, "hard-disc", radius)
-    chi_r = kernel.convolve(chi)
+    chi_r, l1_moll = mollify(chi, make_kernel(spec, "hard-disc", radius))
     omega = chi_r.values > 0.5 + 1e-12
     cover = maximal_packing(omega, radius, spec=spec)
-    pot = capacity_potential(cover, radius, outer)
-    phi = pot.grid
+    phi = capacity_potential(cover, radius, outer)
 
     int_chi = integral(chi)
     tv_chi = tv_norm(chi)
-    l1_moll = float(np.sum(np.abs(chi.values - chi_r.values)) * spec.cell_volume)
     int_omega_chi = float(np.sum(chi.values[omega.ravel()]) * spec.cell_volume)
     int_chi_phi = float(np.sum(chi.values * phi.values) * spec.cell_volume)
     n = cover.count
@@ -372,7 +340,7 @@ def verify_geom_claims(chi, radius, outer):
     single_centers = cover.centers[:1] if n else np.zeros((0, 2), dtype=int)
     single = BallCover(spec, single_centers, radius, np.inf)
     if n:
-        phi1 = capacity_potential(single, radius, outer).grid
+        phi1 = capacity_potential(single, radius, outer)
         cap1 = float(np.sum(np.maximum(neg_laplacian(phi1).values, 0.0)) * spec.cell_volume)
     else:
         cap1 = 0.0
@@ -388,4 +356,4 @@ def verify_geom_claims(chi, radius, outer):
         ClaimRow("capmass", cap1, 2 * np.pi / lnLR),
         ClaimRow("claim2a", grad_dot(phi, phi), claim5_lhs),
     ]
-    return rows, cover, pot
+    return rows, cover, phi

@@ -17,20 +17,11 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import nearest_distance, wavenumber2
 
 MEAN_ZERO_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class NormReport:
-    kind: str
-    value: float
-    params: dict
 
 
 def _has_mean_zero(u, ref_scale=0.0):
@@ -241,7 +232,7 @@ def gn_rhs(u, q):
 
 
 def norm_report(u, kind, **params):
-    """Uniform entry point used by the CLI."""
+    """Uniform entry point used by the CLI: the value of the named norm."""
     if kind == "lp":
         val = lp_norm(u, params["p"])
     elif kind == "weak-lp":
@@ -260,4 +251,4 @@ def norm_report(u, kind, **params):
         val = doubleint_half_norm(u, params["cutoff"])
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
-    return NormReport(kind=kind, value=val, params=params)
+    return val

@@ -94,15 +94,12 @@ def extensivity_check(ineq_id, u, k=2, v=None, w2_kw=None):
     ut = tile(u, k)
     vt = tile(v, k) if v is not None else None
     rows = []
+    vol, vol_t = u.spec.lam**u.spec.d, ut.spec.lam**ut.spec.d
     for fid, param in pieces:
-        vol, vol_t = u.spec.lam**u.spec.d, ut.spec.lam**ut.spec.d
-        power = {"lp": param if param else 1, "spectral": 2.0, "tv": 1.0, "w2": 1.0, "weak": param}[
-            fid
-        ]
-        base = _eval_functional(fid, param, u, v, w2_kw) ** (power if fid in ("lp", "spectral") else 1)
-        tiled = _eval_functional(fid, param, ut, vt, w2_kw) ** (
-            power if fid in ("lp", "spectral") else 1
-        )
+        # per-volume quantities: ||.||_p^p and squared spectral norms, the rest as they are
+        power = {"lp": param, "spectral": 2.0}.get(fid, 1)
+        base = _eval_functional(fid, param, u, v, w2_kw) ** power
+        tiled = _eval_functional(fid, param, ut, vt, w2_kw) ** power
         rows.append(
             ScalingReport(fid, float(param or 0), float(k), 1.0, (0.0, 0.0), base / vol, tiled / vol_t)
         )
@@ -183,18 +180,17 @@ def constant_slab(chi, slices):
 # ------------------------------------------------------------------ chains
 
 
-def branching_chain(m3, lamhat=None):
+def branching_chain(m3):
     """Four-step lower-bound chain for the anisotropic slab energy.
 
     rows (lhs <= rhs up to the recorded bands):
       poincare   sum_j ||grad'^{-1} m_j||_2^2 dz <= (2/pi)^2(1+band) * vertical term
       young      (3/4^{1/3}) sum_j a_j^{2/3} b_j^{1/3} dz <= sum_j (a_j+b_j) dz
       interp     sum_j ||m_j||_{4/3}^{4/3} dz <= C^{4/3} sum_j a^{2/3} b^{1/3} dz
-      final      reported: integral |m3|^{4/3} and its ratio to 2 lamhat^2
+      final      reported: integral |m3|^{4/3} and its ratio to 2 lam^2
     """
     require(np.max(np.abs(m3.values)) <= 1 + 1e-12, "magnetization values must lie in [-1, 1]")
     spec = m3.spec
-    lamhat = spec.lam if lamhat is None else lamhat
     dz = m3.dz
     s = m3.slices
     slice_means = [abs(m3.slice_grid(j).mean) for j in range(s)]
@@ -226,7 +222,7 @@ def branching_chain(m3, lamhat=None):
         TraceStep("poincare", slice_h, fixtures.CONSTANTS["branching_poincare"] * vert),
         TraceStep("young", young_lhs, tv_term + slice_h),
         TraceStep("interp", interp_lhs, interp_rhs),
-        TraceStep("final", final, 2 * lamhat**2),
+        TraceStep("final", final, 2 * spec.lam**2),
     ]
     passed = all(r.holds() for r in rows[:3])
     return {
@@ -234,7 +230,7 @@ def branching_chain(m3, lamhat=None):
         "energy": energy,
         "tv_term": tv_term,
         "vertical_term": vert,
-        "end_to_end": energy / lamhat**2 if lamhat > 0 else np.inf,
+        "end_to_end": energy / spec.lam**2,
         "max_slice_mean": max(slice_means),
         "passed": passed,
     }

@@ -16,6 +16,8 @@ goes through adaptive quadrature.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -32,6 +34,7 @@ from .levelgeom import (
     level_indicator,
     make_kernel,
     maximal_packing,
+    mollify,
     neg_laplacian,
     upper_level_set,
 )
@@ -106,12 +109,11 @@ def layer_cake_trace(u, M=16.0, mu_count=10):
             R = mu ** (-1 / 3)
             kern = make_kernel(spec, "smooth-bump", R)
             lap_max = max(lap_max, kern.lap_const)
-            chi = level_indicator(u, mu).as_grid()
-            chi_r = kern.convolve(chi)
+            chi = level_indicator(u, mu)
+            chi_r, l1 = mollify(chi, kern)
             int_abs_chi = integral(chi.with_values(np.abs(chi.values)))
             # the cross-term bound of this level and the transform of chi_r
             mollified[mu] = (kern.lap_const / R**2 * int_abs_chi, np.fft.fftn(chi_r.as_nd()) / spec.size)
-            l1 = integral(chi.with_values(np.abs(chi.values - chi_r.values)))
             grad = spectral_norm(chi_r, 1.0)  # L2 norm of the spectral gradient
             steps.append(TraceStep(f"mollify@{mu:.4g}", l1, R * tv_norm(chi)))
             steps.append(
@@ -187,8 +189,7 @@ def prop2_trace(u, M=8.0, mu_count=8):
             chi = upper_level_set(u, mu)
             omega = density_set(chi, R)
             cover = maximal_packing(omega, R, spec=spec)
-            pot = capacity_potential(cover, R, L)
-            phi = pot.grid
+            phi = capacity_potential(cover, R, L)
             potentials[mu] = (phi, R, L, cover, chi)
 
             int_chi = integral(chi)
@@ -340,7 +341,7 @@ def prop3_trace(u, eps=0.25, mu_count=8, w2_kw=None):
         if not chi.values.any():
             continue
         cover = maximal_packing(density_set(chi, R), R, spec=spec)
-        phi_mu = indicator_potential(cover, R).grid
+        phi_mu = indicator_potential(cover, R)
         steps.append(
             TraceStep(
                 f"geom@{mu:.4g}",
@@ -426,21 +427,13 @@ def prop5_trace(u, v, nu, constant=None, w2_kw=None):
 
     steps.append(TraceStep("nu-form", final.lhs, c ** (1 / pw) * final.rhs))
 
+    # the dilation laws are identities: each must hold to 1e-9 relative both ways
     scale_ok = all(
         abs(s.slack) <= 1e-9 * max(abs(s.rhs), 1e-300)
         for s in steps
         if s.step.startswith("scale-")
     )
-    ineq_ok = steps[0].holds() and steps[-1].holds()
-    return InequalityReport(
-        ineq_id="prop5-trace",
-        input_desc=f"nu={nu:g}",
-        lhs=final.lhs,
-        rhs=final.rhs,
-        ratio=final.ratio,
-        constant=c,
-        passed=bool(scale_ok and ineq_ok),
-        certified=final.certified,
-        steps=tuple(steps),
-        extra={"terms": final.extra["terms"], "scale_exact": scale_ok},
-    )
+    rep = _trace_report("prop5-trace", steps, final.lhs, final.rhs,
+                        {"terms": final.extra["terms"], "scale_exact": scale_ok}, final.certified,
+                        desc=f"nu={nu:g}", constant=c)
+    return replace(rep, passed=rep.passed and scale_ok)

@@ -124,9 +124,8 @@ def _cost_matrix(spec, src_idx, dst_idx):
     return np.sum(torus_gap(spec, xs[:, None, :] - xt[None, :, :]) ** 2, axis=-1)
 
 
-def _check_pair(u, v, normalize=False):
-    """Both arguments as measures (densities via h^d) of equal mass on one grid;
-    normalize rescales v to u's mass instead of erroring."""
+def _check_pair(u, v):
+    """Both arguments as measures (densities via h^d) of equal mass on one grid."""
     u, v = (DiscreteMeasure.from_density(w) if isinstance(w, GridFunction) else w for w in (u, v))
     if u.spec != v.spec:
         raise ValueError("measures live on different grids")
@@ -136,12 +135,7 @@ def _check_pair(u, v, normalize=False):
     if mv == 0 or mu == 0:
         raise ValueError("one measure is zero, the other is not")
     if abs(mu - mv) > MASS_RTOL * max(mu, mv):
-        if not normalize:
-            raise ValueError(
-                f"total masses differ beyond tolerance: {mu:g} vs {mv:g} "
-                "(pass normalize=True to rescale the second argument)"
-            )
-        v = DiscreteMeasure(v.spec, v.masses * (mu / mv))
+        raise ValueError(f"total masses differ beyond tolerance: {mu:g} vs {mv:g}")
     return u, v
 
 
@@ -320,7 +314,7 @@ def _solve_sinkhorn(u, v, eps, iters):
     return TransportResult(primal, plan, duals, "sinkhorn", primal - dual, resid)
 
 
-def w2_squared(u, v, method="exact", eps=0.01, iters=500, support_cap=None, normalize=False):
+def w2_squared(u, v, method="exact", eps=0.01, iters=500, support_cap=None):
     """Squared Wasserstein-2 distance between two equal-mass measures.
 
     Parameters
@@ -329,9 +323,8 @@ def w2_squared(u, v, method="exact", eps=0.01, iters=500, support_cap=None, norm
     method : 'exact' (transportation LP, duality gap certified) or 'sinkhorn'
     eps, iters : entropic regularization and iteration budget for sinkhorn
     support_cap : override of the exact-solver support product cap
-    normalize : rescale v to u's total mass instead of erroring
     """
-    u, v = _check_pair(u, v, normalize)
+    u, v = _check_pair(u, v)
     if u.total == 0:
         return _empty_result(method)
     if method == "exact":
@@ -341,29 +334,24 @@ def w2_squared(u, v, method="exact", eps=0.01, iters=500, support_cap=None, norm
     raise ValueError(f"unknown method {method!r}")
 
 
-def uniform_measure(spec, density=1.0):
-    return DiscreteMeasure(spec, np.full(spec.size, density * spec.cell_volume))
+def uniform_measure(spec):
+    return DiscreteMeasure(spec, np.full(spec.size, spec.cell_volume))
 
 
 def w2_to_uniform(u, method="exact", **kw):
-    """W_2^2 against the unit density; requires u >= 0 with mean 1."""
-    if isinstance(u, GridFunction):
-        if abs(u.mean - 1.0) > 1e-9:
-            raise ValueError(f"mean must equal 1, got {u.mean!r}")
-        u = DiscreteMeasure.from_density(u)
-    else:
-        if abs(u.total / u.spec.lam**u.spec.d - 1.0) > 1e-9:
-            raise ValueError("total mass must equal the domain volume")
+    """W_2^2 of the density u (u >= 0 with mean 1) against the unit density."""
+    if abs(u.mean - 1.0) > 1e-9:
+        raise ValueError(f"mean must equal 1, got {u.mean!r}")
     return w2_squared(u, uniform_measure(u.spec), method=method, **kw)
 
 
-def duality_gap(plan, duals, u, v, rtol=1e-9):
+def duality_gap(plan, duals, u, v):
     """Primal cost minus dual value, after validating feasibility of both."""
     u, v = _check_pair(u, v)
     scale = max(u.total, v.total, 1e-300)
-    if np.max(np.abs(plan.row_masses(u.spec.size) - u.masses)) > rtol * scale:
+    if np.max(np.abs(plan.row_masses(u.spec.size) - u.masses)) > MASS_RTOL * scale:
         raise ValueError("plan row marginals do not match the source measure")
-    if np.max(np.abs(plan.col_masses(v.spec.size) - v.masses)) > rtol * scale:
+    if np.max(np.abs(plan.col_masses(v.spec.size) - v.masses)) > MASS_RTOL * scale:
         raise ValueError("plan column marginals do not match the target measure")
     if duals.feasibility_slack < -1e-9:
         raise ValueError("dual potentials are infeasible")

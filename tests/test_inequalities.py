@@ -179,20 +179,37 @@ def test_prop4_one_solve_per_candidate_and_clamped_scales(monkeypatch):
 def test_calibrate_constants_only_family():
     # all-zero fields: ratios all zero
     z = [FamilySpec(GridSpec(1, 16, 1.0), "stripe", {"width": 8, "high": 0.0, "low": 0.0}, s) for s in range(3)]
-    cal = calibrate("prop1", z, with_stability=False)
+    cal = calibrate("prop1", z)
     assert cal.constant == 0.0
 
 
 def test_calibrate_reports_max_ratio():
     fam = [FamilySpec(GridSpec(1, 64, 1.0), "random-steps", {"blocks": 8}, s) for s in range(10)]
-    cal = calibrate("prop1", fam, with_stability=False)
+    cal = calibrate("prop1", fam)
     assert cal.constant == max(cal.ratios)
     assert len(cal.ratios) == 10
 
 
+def test_calibrate_checks_each_instance_once(monkeypatch):
+    from ineqlab import inequalities
+
+    calls = []
+    real = inequalities.check
+
+    def counting(*a, **k):
+        calls.append(a[0])
+        return real(*a, **k)
+
+    monkeypatch.setattr(inequalities, "check", counting)
+    fam = [FamilySpec(GridSpec(1, 64, 1.0), "random-steps", {"blocks": 8}, s) for s in range(5)]
+    cal = calibrate("prop1", fam)
+    assert cal.constant > 0
+    assert calls == ["prop1"] * len(fam)
+
+
 def test_calibrate_gn2_below_one():
     fam = [FamilySpec(GridSpec(1, 64, 1.0), "random-steps", {"blocks": 16}, s) for s in range(10)]
-    cal = calibrate("gn", fam, q=2, with_stability=False)
+    cal = calibrate("gn", fam, q=2)
     assert cal.constant <= 1 + 1e-9
 
 

@@ -4,6 +4,7 @@ import pytest
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridFunction, GridSpec, dilate, make, shift
 from ineqlab.norms import (
+    centered_norm,
     doubleint_half_norm,
     gn_rhs,
     grad_q_norm,
@@ -254,3 +255,13 @@ def test_gn_rejects_nonzero_mean():
 def test_grad_q_norm_matches_iso_tv():
     u = random_steps(2, 16, seed=8)
     assert grad_q_norm(u, 1) == pytest.approx(tv_norm(u, "isotropic") / 1.0, rel=1e-12)
+
+
+def test_centered_norm_of_nearly_constant_field():
+    spec = GridSpec(1, 32, 1.0)
+    wave = 1e-6 * np.cos(2 * np.pi * (np.arange(32) + 0.5) * spec.h)
+    got = centered_norm(make(spec, 1.0 + wave), -0.5)
+    # one cosine mode of amplitude a at k = 1: the order -1/2 norm is a / sqrt(4 pi)
+    assert got == pytest.approx(1e-6 / np.sqrt(4 * np.pi), rel=1e-8)
+    assert got == pytest.approx(spectral_norm(make(spec, wave), -0.5), rel=1e-8)
+    assert centered_norm(make(spec, np.full(32, 1.0 + 1e-6)), -0.5) == 0.0

@@ -86,8 +86,8 @@ def test_norms_invariant_under_cyclic_shift(u, data):
     for kind, params, tol in SHIFT_NORMS:
         if kind == "doubleint-half":  # the cutoff is a length: a quarter period on every grid
             params = {"cutoff": u.spec.lam / 4}
-        base = norm_report(u, kind, **params).value
-        assert _rel(norm_report(moved, kind, **params).value, base) <= tol, (kind, params, offsets)
+        base = norm_report(u, kind, **params)
+        assert _rel(norm_report(moved, kind, **params), base) <= tol, (kind, params, offsets)
 
 
 @PROPERTY

@@ -186,6 +186,31 @@ def test_regime_exponents_exact():
     assert rows["regime3-half"][1] == Fraction(-1)
 
 
+def test_regime_exponents_are_the_exponents_the_checks_use():
+    from ineqlab.inequalities import check, rescale_to_mean
+    from ineqlab.norms import centered_norm, lp_norm
+
+    rows = {name: float(got) for name, got, _, _ in regime_exponents()["rows"]}
+    g = GridSpec(2, 8, 1.0)
+    cap = {"support_cap": 1 << 14}
+    u3 = generate(FamilySpec(g, "ball-lattice", {"phi": 0.2, "mean": 1}, 0))
+    assert check("prop3", u3, w2_kw=cap).extra["p"] == rows["prop3-exponent"]
+    bump = generate(FamilySpec(g, "single-bump", {"radius": 0.2}, 0))
+    prop4 = check("prop4", bump, nu_grid=[1.0], scales=[2], constant=np.inf, w2_kw=cap)
+    assert prop4.extra["p"] == rows["lhs-power"]
+
+    u = rescale_to_mean(generate(FamilySpec(g, "ball-lattice", {"phi": 0.2, "n_balls": 2}, 0)), 0.05)
+    v = rescale_to_mean(generate(FamilySpec(g, "ball-lattice", {"phi": 0.2, "n_balls": 1}, 1)), 0.05)
+    nu = 0.1
+    rep = check("prop5", u, v, nu=nu, constant=np.inf, w2_kw=cap)
+    assert rep.extra["p"] == rows["lhs-power"]
+    terms = rep.extra["terms"]
+    assert terms["w2"] == nu ** rows["w2-weight"] * rep.extra["transport"].lower
+    assert terms["half"] == nu ** rows["half-weight"] * centered_norm(v, -0.5) ** 2
+    above = u.with_values(np.maximum(u.values - nu ** rows["threshold"], 0.0))
+    assert rep.lhs == lp_norm(above, rows["lhs-power"]) > 0
+
+
 def test_regime_exponents_fast():
     import time
 

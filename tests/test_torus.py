@@ -13,7 +13,6 @@ from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridFunction, GridSpec, inf_convolve, nearest_distance, torus_gap, wavenumber2, wavenumbers
 from ineqlab.levelgeom import (
     BallCover,
-    CoverPotential,
     capacity_potential,
     indicator_potential,
     level_indicator,
@@ -179,18 +178,18 @@ def test_potentials_bit_equal_to_rolled_profiles(d, data, lam, r_cells, density,
     mask = np.random.default_rng(seed).random(spec.size) < density
     radius = r_cells * spec.h
     cover = maximal_packing(mask, radius, spec=spec)
-    assert same_bits(indicator_potential(cover, radius).grid.values, indicator_oracle(cover, radius))
+    assert same_bits(indicator_potential(cover, radius).values, indicator_oracle(cover, radius))
     outer = min(2.5 * radius, lam / 2)
     if d == 2 and radius < outer:
-        got = capacity_potential(cover, radius, outer).grid.values
+        got = capacity_potential(cover, radius, outer).values
         assert same_bits(got, capacity_oracle(cover, radius, outer))
 
 
 def test_potentials_without_centers_vanish():
     spec = GridSpec(2, 16, 1.0)
     empty = BallCover(spec, np.zeros((0, 2), dtype=int), 0.1, np.inf)
-    assert not capacity_potential(empty, 0.1, 0.3).grid.values.any()
-    assert not indicator_potential(empty, 0.1).grid.values.any()
+    assert not capacity_potential(empty, 0.1, 0.3).values.any()
+    assert not indicator_potential(empty, 0.1).values.any()
 
 
 @pytest.mark.parametrize("d,n,lam", [(1, 64, 1.0), (2, 32, 1.0), (2, 17, 0.7), (3, 12, 3.0)])
@@ -236,9 +235,7 @@ def test_prop3_trace_bit_equal_with_old_convolutions(d, n, phi, monkeypatch):
     monkeypatch.setattr(
         traces,
         "indicator_potential",
-        lambda cover, radius: CoverPotential(
-            GridFunction(cover.spec, indicator_oracle(cover, radius)), float(radius), float(radius), "indicator"
-        ),
+        lambda cover, radius: GridFunction(cover.spec, indicator_oracle(cover, radius)),
     )
     assert len(rows) > 8
     assert repr(rows) == repr(_prop3_rows(u))
@@ -253,7 +250,7 @@ def cross_term_oracle(u, M, mu_count):
     mu_hi = min(levels.max() * 0.9999999, (2 * spec.h) ** (-3.0))
     mus = list(np.geomspace(mu_lo, mu_hi, mu_count))
     kernels = {mu: make_kernel(spec, "smooth-bump", mu ** (-1 / 3)) for mu in mus}
-    chis = {mu: level_indicator(u, mu).as_grid() for mu in mus}
+    chis = {mu: level_indicator(u, mu) for mu in mus}
     worst = None
     for i, mu in enumerate(mus):
         for mup in mus[: i + 1]:

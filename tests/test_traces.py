@@ -190,6 +190,27 @@ def test_prop5_trace_scale_identities_exact():
     assert rep.passed
 
 
+def test_prop5_trace_inexact_scaling_fails_though_every_step_holds(monkeypatch):
+    from dataclasses import replace
+
+    from ineqlab import traces
+
+    solve = traces.w2_squared
+
+    def off(*a, **k):  # the dilated solve, 1e-6 relative below the exact law
+        res = solve(*a, **k)
+        return replace(res, value=res.value * (1 - 1e-6))
+
+    monkeypatch.setattr(traces, "w2_squared", off)
+    u, v, nu = prop5_pair()
+    rep = prop5_trace(u, v, nu, constant=2.0, w2_kw={"support_cap": 65536})
+    by = {s.step: s for s in rep.steps}
+    assert by["scale-w2"].slack > 1e-7 * by["scale-w2"].rhs
+    assert all(s.holds() for s in rep.steps)
+    assert rep.extra["scale_exact"] is False
+    assert rep.passed is False
+
+
 def test_prop5_trace_nu1_direction():
     u, v, nu = prop5_pair(i=30)
     rep = prop5_trace(u, v, nu, constant=2.0, w2_kw={"support_cap": 65536})

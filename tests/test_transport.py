@@ -134,9 +134,6 @@ def test_errors_negative_mass_mismatch_cap():
     v = DiscreteMeasure(spec, u.masses * 2.0)
     with pytest.raises(ValueError):
         w2_squared(u, v)
-    # normalize opt-in rescales instead
-    res = w2_squared(u, v, normalize=True)
-    assert res.gap <= 1e-8
     big = GridSpec(2, 16, 1.0)
     with pytest.raises(ValueError):
         w2_squared(random_density(big, 6), random_density(big, 7), support_cap=100)

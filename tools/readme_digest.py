@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run every README CLI line plus one `check` per inequality id, one
-`trace` per trace id, a prop3 and a prop2 calibration and the
-superconductor chain in a fresh directory, and print the exit code of
-each command and a sha256 per output file.
+`trace` per trace id, a prop3, a frozen prop2 and a frozen geomest
+calibration and the superconductor chain in a fresh directory, and print
+the exit code of each command and a sha256 per output file.
 
     PYTHONPATH=src python tools/readme_digest.py <out_dir>
 
@@ -45,6 +45,7 @@ EXTRA = [
     f"calibrate --id prop3 --family ball-lattice --params phi=0.2,mean=1 --d 2 --n 16 --seeds 0..2 {BIG_CAP} "
     "--out cal-prop3",
     "calibrate --id prop2 --frozen --out cal-prop2",
+    "calibrate --id geomest --frozen --out cal-geomest",
     "scaling --functional superconductor-chain --family ball-lattice --params phi=0.1,n_balls=1 --d 2 --n 16 "
     f"--nu 0.5 {BIG_CAP} --out sc1",
 ]

@@ -17,23 +17,24 @@ from ineqlab.scaling import regime2_bound
 from ineqlab.traces import prop2_trace
 
 
+def constants_block(values):
+    """The CONSTANTS assignment for fixtures.py, in its committed key order,
+    every value a plain float literal (NumPy scalars print as np.float64(...))."""
+    lines = [f"    {k!r}: {float(values[k])!r}," for k in fixtures.CONSTANTS]
+    return "\n".join(["CONSTANTS = {", *lines, "}"])
+
+
 def main():
     out = {}
 
-    fam = fixtures.prop1_frozen_family()
-    cal1 = calibrate("prop1", fam, with_stability=False)
-    out["prop1"] = cal1.constant
-    out["weak1"] = calibrate("weak1", fam, with_stability=False).constant
+    for ineq_id, family in fixtures.FROZEN.items():
+        out[ineq_id] = calibrate(ineq_id, family()).constant
     gn_max = 0.0
+    fam = fixtures.FROZEN["prop1"]()
     for q in (1.0, 4.0):
-        gn_max = max(gn_max, calibrate("gn", fam, q=q, with_stability=False).constant)
+        gn_max = max(gn_max, calibrate("gn", fam, q=q).constant)
     out["gn"] = gn_max
     out["gn2"] = 1.0
-
-    fam2 = fixtures.prop2_frozen_family()
-    out["prop2"] = calibrate("prop2", fam2, with_stability=False).constant
-    out["weaklog"] = calibrate("weaklog", fam2, with_stability=False).constant
-    out["geomest"] = calibrate("geomest", fixtures.geomest_calibration_family(), with_stability=False).constant
 
     g = GridSpec(2, 16, 1.0)
     prop3_fam = [
@@ -103,14 +104,7 @@ def main():
         vals.append((out2["tv"] + out2["w2"]) / (1.0**2 * phi ** (2 / 3)))
     out["regime2_energy"] = min(vals) * 0.8
 
-    print("CONSTANTS = {")
-    for k in (
-        "prop1", "weak1", "gn", "gn2", "prop2", "weaklog", "geomest", "prop3",
-        "prop5", "prop4", "coarsening", "prop2_tail", "branching_poincare",
-        "regime2_energy",
-    ):
-        print(f"    {k!r}: {out[k]!r},")
-    print("}")
+    print(constants_block(out))
 
 
 if __name__ == "__main__":
