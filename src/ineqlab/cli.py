@@ -259,6 +259,11 @@ def cmd_calibrate(cfg, outdir):
     ineq_id = cfg["id"]
     kw = _check_kwargs(cfg)
     if cfg.get("frozen", "0") == "1":
+        if ineq_id not in fixtures.FROZEN:
+            raise ValueError(
+                f"calibrate --frozen: {ineq_id!r} has no frozen family; "
+                f"ids that have one: {', '.join(fixtures.FROZEN)}"
+            )
         specs = fixtures.FROZEN[ineq_id]()
     else:
         specs = [_family_spec(cfg, s) for s in _seeds_from_cfg(cfg)]

@@ -200,6 +200,15 @@ def test_calibrate_command(tmp_path):
     assert float(cal[1].split(",")[2]) == best
 
 
+@pytest.mark.parametrize("ineq_id", ["gn", "prop3", "prop4", "prop5"])
+def test_calibrate_frozen_without_family_names_the_ids(ineq_id, tmp_path, capsys):
+    code = run(["calibrate", "--id", ineq_id, "--frozen", "--out", str(tmp_path / "cal")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{ineq_id!r} has no frozen family" in err
+    assert "prop1, weak1, prop2, weaklog, geomest" in err
+
+
 def test_norms_single_kind(tmp_path):
     out = tmp_path / "nk"
     code = run(
