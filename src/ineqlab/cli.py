@@ -11,6 +11,7 @@ failed assertion, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from fractions import Fraction
@@ -20,15 +21,10 @@ import numpy as np
 from . import fixtures
 from .families import FamilySpec, generate
 from .grid import GridSpec, load_grid, save_grid
-from .inequalities import (
-    calibrate,
-    check_family,
-    extremize,
-    parallel_map,
-)
+from .inequalities import calibrate, check, check_family, extremize, prop5_pair
 from .levelgeom import verify_geom_claims
 from .norms import _has_mean_zero, norm_report
-from .scaling import homogeneity_check, regime_exponents
+from .scaling import HOMOGENEITY_TOL, homogeneity_check, regime_exponents
 from .traces import layer_cake_trace, prop2_trace, prop3_trace, prop5_trace
 
 
@@ -131,6 +127,21 @@ def _check_kwargs(cfg):
     return kw
 
 
+# option -> (keyword, parser) of the library settings it sets; a setting the
+# user leaves out keeps the library function's own default
+_SETTINGS = {"M": ("M", _fnum), "eps": ("eps", _fnum), "mu-count": ("mu_count", int), "phi": ("phi", _fnum)}
+
+
+def _settings(cfg, fn):
+    """The settings the user gave that fn takes, plus its w2_kw if it takes one;
+    options fn does not take are ignored."""
+    takes = inspect.signature(fn).parameters
+    kw = {name: parse(cfg[opt]) for opt, (name, parse) in _SETTINGS.items() if opt in cfg and name in takes}
+    if "w2_kw" in takes:
+        kw["w2_kw"] = _w2_kw(cfg)
+    return kw
+
+
 REPORT_HEADER = ["id", "family", "seed", "lhs", "rhs", "ratio", "pass"]
 TRACE_HEADER = ["id", "step", "lhs", "rhs", "slack"]
 
@@ -178,45 +189,28 @@ def cmd_check(cfg, outdir):
     kw = _check_kwargs(cfg)
     specs = [_family_spec(cfg, s) for s in seeds]
     if ineq_id == "prop5":
-        # the transport partner is the same family at a shifted seed, both
-        # rescaled to the shared mean given by --phi
-        from .inequalities import check, rescale_to_mean
-
-        phi = _fnum(cfg.get("phi", "0.05"))
-
-        def run_one(fs):
-            u = rescale_to_mean(generate(fs), phi)
-            v = rescale_to_mean(generate(_family_spec(cfg, fs.seed + 1000)), phi)
-            return check(ineq_id, u, v, **kw)
-
-        reports = parallel_map(run_one, specs)
+        pair = _settings(cfg, prop5_pair)
+        reports = [check(ineq_id, *prop5_pair(fs, **pair), **kw) for fs in specs]
     else:
-        reports = parallel_map(lambda fs: check_family(ineq_id, fs, **kw), specs)
+        reports = [check_family(ineq_id, fs, **kw) for fs in specs]
     rows = _report_rows(ineq_id, reports, specs)
     write_csv(os.path.join(outdir, "report.csv"), REPORT_HEADER, rows)
     return all(r.passed for r in reports)
 
 
+TRACES = {"layer-cake": layer_cake_trace, "prop2": prop2_trace, "prop3": prop3_trace, "prop5": prop5_trace}
+
+
 def cmd_trace(cfg, outdir):
     ineq_id = cfg["id"]
-    seed = _seeds_from_cfg(cfg)[0]
-    u = generate(_family_spec(cfg, seed))
-    kw = _w2_kw(cfg)
-    if ineq_id == "layer-cake":
-        rep = layer_cake_trace(u, M=_fnum(cfg.get("M", "16")), mu_count=int(cfg.get("mu-count", 8)))
-    elif ineq_id == "prop2":
-        rep = prop2_trace(u, M=_fnum(cfg.get("M", "8")), mu_count=int(cfg.get("mu-count", 6)))
-    elif ineq_id == "prop3":
-        rep = prop3_trace(u, eps=_fnum(cfg.get("eps", "0.4")), mu_count=int(cfg.get("mu-count", 6)), w2_kw=kw)
-    elif ineq_id == "prop5":
-        v = generate(_family_spec(cfg, seed + 1))
-        from .inequalities import rescale_to_mean
-
-        phi = _fnum(cfg.get("phi", "0.05"))
-        u, v = rescale_to_mean(u, phi), rescale_to_mean(v, phi)
-        rep = prop5_trace(u, v, _fnum(cfg["nu"]), w2_kw=kw)
-    else:
+    if ineq_id not in TRACES:
         raise ValueError(f"unknown trace id {ineq_id!r}")
+    trace, fs = TRACES[ineq_id], _family_spec(cfg, _seeds_from_cfg(cfg)[0])
+    if ineq_id == "prop5":  # the transport pair and nu come first
+        args = (*prop5_pair(fs, **_settings(cfg, prop5_pair)), _fnum(cfg["nu"]))
+    else:
+        args = (generate(fs),)
+    rep = trace(*args, **_settings(cfg, trace))
     rows = [[ineq_id, s.step, s.lhs, s.rhs, s.slack] for s in rep.steps]
     write_csv(os.path.join(outdir, "trace.csv"), TRACE_HEADER, rows)
     return rep.passed
@@ -235,7 +229,7 @@ def cmd_sweep(cfg, outdir):
             extra = {"phi": phi} if phi is not None else {}
             specs.append(_family_spec(cfg, seed, extra))
             labels.append(phi if phi is not None else seed)
-    reports = parallel_map(lambda fs: check_family(ineq_id, fs, **kw), specs)
+    reports = [check_family(ineq_id, fs, **kw) for fs in specs]
     rows = _report_rows(ineq_id, reports, specs)
     write_csv(os.path.join(outdir, "report.csv"), REPORT_HEADER, rows)
     if cfg.get("plot", "0") == "1":
@@ -257,7 +251,6 @@ def cmd_sweep(cfg, outdir):
 
 def cmd_calibrate(cfg, outdir):
     ineq_id = cfg["id"]
-    kw = _check_kwargs(cfg)
     if cfg.get("frozen", "0") == "1":
         if ineq_id not in fixtures.FROZEN:
             raise ValueError(
@@ -267,11 +260,7 @@ def cmd_calibrate(cfg, outdir):
         specs = fixtures.FROZEN[ineq_id]()
     else:
         specs = [_family_spec(cfg, s) for s in _seeds_from_cfg(cfg)]
-    if ineq_id == "gn":
-        cal = calibrate(ineq_id, specs, q=kw.pop("q"), **kw)
-    else:
-        kw.pop("q", None)
-        cal = calibrate(ineq_id, specs, **kw)
+    cal = calibrate(ineq_id, specs, **_check_kwargs(cfg))
     rows = [[ineq_id, cal.sweep_desc, cal.constant, cal.argmax_desc]]
     write_csv(
         os.path.join(outdir, "calibration.csv"),
@@ -314,21 +303,9 @@ def cmd_cover(cfg, outdir):
         ["i", "y_x", "y_y", "R"],
         [[i, c[0], c[1], R] for i, c in enumerate(coords)],
     )
-    bands = {"claim1": fixtures.band("claim1"), "claim3": fixtures.band("claim1"),
-             "claim4": fixtures.band("claim5"), "claim5": fixtures.band("claim5"),
-             "packing": fixtures.band("packing"), "capmass": fixtures.band("capmass")}
-    out = []
-    ok = True
-    for row in rows:
-        band = bands.get(row.claim, 1e-9)
-        if row.claim == "capmass":
-            passed = abs(row.lhs - row.rhs) <= band * row.rhs if row.rhs else row.lhs == 0
-        else:
-            passed = row.passes(band)
-        ok &= passed
-        out.append([row.claim, row.lhs, row.rhs, row.ratio, passed])
+    out = [[row.claim, row.lhs, row.rhs, row.ratio, row.passed] for row in rows]
     write_csv(os.path.join(outdir, "claims.csv"), ["claim_id", "lhs", "rhs", "ratio", "pass"], out)
-    return ok
+    return all(row.passed for row in rows)
 
 
 def _write_chain(outdir, result, fld=None):
@@ -386,8 +363,7 @@ def cmd_scaling(cfg, outdir):
         fid, u, ell=_fnum(cfg.get("ell", "2")), m=_fnum(cfg.get("m", "1")), param=param,
         w2_kw=_w2_kw(cfg),
     )
-    tol = {"lp": 1e-12, "weak": 1e-12, "tv": 1e-12, "spectral": 1e-9, "w2": 1e-8}[fid]
-    passed = rep.deviation <= tol
+    passed = rep.deviation <= HOMOGENEITY_TOL[fid]
     rows.append([fid, rep.param, rep.ell, rep.m, rep.predicted, rep.measured, rep.deviation, passed])
     write_csv(
         os.path.join(outdir, "scaling.csv"),

@@ -24,9 +24,7 @@ deliberately.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,16 +113,6 @@ class CalibrationResult:
     argmax_desc: str
     ratios: tuple
     extra: dict = field(default_factory=dict)
-
-
-def parallel_map(fn, items):
-    """Map preserving order; thread count capped by INEQLAB_THREADS."""
-    threads = int(os.environ.get("INEQLAB_THREADS", "1"))
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def _ratio(lhs, rhs):
@@ -278,6 +266,13 @@ def rescale_to_mean(u, target):
     return u.with_values(u.values * (target / u.mean))
 
 
+def prop5_pair(fs, phi=0.05):
+    """The prop5 transport pair of one family spec: u from fs, v from the
+    same family at seed + 1000 (the offset of fixtures.prop5_frozen_sweep),
+    both rescaled to the shared mean phi."""
+    return rescale_to_mean(generate(fs), phi), rescale_to_mean(generate(replace(fs, seed=fs.seed + 1000)), phi)
+
+
 def prop5_instance(item, constant=None, **kw):
     """Materialize one (u_spec, v_spec, phi, nu_factor) sweep entry.
 
@@ -314,7 +309,7 @@ def calibrate(ineq_id, family_specs, **kw):
     if ineq_id == "prop3":
         return _calibrate_prop3(specs, **kw)
 
-    reports = parallel_map(lambda fs: check_family(ineq_id, fs, constant=np.inf, **kw), specs)
+    reports = [check_family(ineq_id, fs, constant=np.inf, **kw) for fs in specs]
     ratios = [r.ratio for r in reports]
     imax = int(np.argmax(ratios))
     return CalibrationResult(
@@ -326,7 +321,7 @@ def calibrate(ineq_id, family_specs, **kw):
     )
 
 
-def _calibrate_prop3(specs, tol=1e-3, **kw):
+def _calibrate_prop3(specs, **kw):
     """Joint threshold/prefactor bisection for the W_2 interpolation bound."""
     data = []
     certified = True
@@ -346,7 +341,7 @@ def _calibrate_prop3(specs, tol=1e-3, **kw):
         if hi > 1e9:
             raise RuntimeError("threshold bisection failed to bracket")
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fixtures
 from .grid import (GridFunction, GridSpec, is_binary, nearest_distance, require, torus_gap, wavenumber2,
                    wavenumbers)
 from .norms import _level_sums, tv_norm
@@ -287,9 +288,12 @@ def integral(u):
 
 @dataclass(frozen=True)
 class ClaimRow:
+    """Both sides of one claim and its relative discretization band."""
+
     claim: str
     lhs: float
     rhs: float
+    band: float = 1e-9
 
     @property
     def ratio(self):
@@ -300,12 +304,22 @@ class ClaimRow:
     def passes(self, tol=0.0):
         return self.lhs <= self.rhs * (1 + tol) + 1e-12
 
+    @property
+    def passed(self):
+        """The claim's verdict: lhs <= rhs within the band; capmass, an
+        estimate of 2 pi / ln(L/R), must match it within the band."""
+        if self.claim == "capmass":
+            return abs(self.lhs - self.rhs) <= self.band * self.rhs if self.rhs else self.lhs == 0
+        return self.passes(self.band)
+
 
 def verify_geom_claims(chi, radius, outer):
     """Evaluate both sides of the covering-lemma claims with their explicit
     constants (d = 2, binary chi).
 
-    Rows produced (lhs <= rhs expected, up to the stated discretization band):
+    Rows produced (lhs <= rhs expected, up to the band each row carries:
+    BANDS claim1 for claim1/claim3, claim5 for claim4/claim5, packing,
+    capmass, and 1e-9 for the exact claims):
 
       claim1    integral chi <= 2 R tv(chi) + integral_{Omega_R} chi
       claim1a   |{chi=1} \\ Omega_R| <= 2 ||chi - chi_R||_1
@@ -345,15 +359,16 @@ def verify_geom_claims(chi, radius, outer):
     else:
         cap1 = 0.0
 
+    band = fixtures.band
     rows = [
-        ClaimRow("claim1", int_chi, 2 * radius * tv_chi + int_omega_chi),
+        ClaimRow("claim1", int_chi, 2 * radius * tv_chi + int_omega_chi, band("claim1")),
         ClaimRow("claim1a", int_chi - int_omega_chi, 2 * l1_moll),
         ClaimRow("claim1b", l1_moll, radius * tv_chi),
-        ClaimRow("packing", n * (np.pi / 4) * radius**2, 2 * int_chi),
-        ClaimRow("claim3", int_chi, 2 * radius * tv_chi + int_chi_phi),
-        ClaimRow("claim4", integral(phi), n * np.pi * (outer**2 - radius**2) / (2 * lnLR)),
-        ClaimRow("claim5", claim5_lhs, n * 2 * np.pi / lnLR),
-        ClaimRow("capmass", cap1, 2 * np.pi / lnLR),
+        ClaimRow("packing", n * (np.pi / 4) * radius**2, 2 * int_chi, band("packing")),
+        ClaimRow("claim3", int_chi, 2 * radius * tv_chi + int_chi_phi, band("claim1")),
+        ClaimRow("claim4", integral(phi), n * np.pi * (outer**2 - radius**2) / (2 * lnLR), band("claim5")),
+        ClaimRow("claim5", claim5_lhs, n * 2 * np.pi / lnLR, band("claim5")),
+        ClaimRow("capmass", cap1, 2 * np.pi / lnLR, band("capmass")),
         ClaimRow("claim2a", grad_dot(phi, phi), claim5_lhs),
     ]
     return rows, cover, phi

@@ -57,7 +57,7 @@ def _inner(f, g):
 # ------------------------------------------------------------ layer cake
 
 
-def layer_cake_trace(u, M=16.0, mu_count=10):
+def layer_cake_trace(u, M=16.0, mu_count=8):
     """Trace of the truncation-and-mollification proof of the L^{4/3} bound.
 
     Verifies, per level mu on a log grid with R = mu^{-1/3}:
@@ -159,7 +159,7 @@ def _quad_mu_ln13(lo, hi):
     return val
 
 
-def prop2_trace(u, M=8.0, mu_count=8):
+def prop2_trace(u, M=8.0, mu_count=6):
     """Trace of the log-improved bound via the capacity construction (d=2).
 
     Per level mu >= M with R = (mu ln mu)^{-1/3} and L = R sqrt(mu)
@@ -291,7 +291,7 @@ def claim_b_case(p, k=3, theta=1.0, K=None):
     return lhs, claim_b_constant(p) * sup
 
 
-def prop3_trace(u, eps=0.25, mu_count=8, w2_kw=None):
+def prop3_trace(u, eps=0.4, mu_count=6, w2_kw=None):
     """Trace of the W_2 interpolation proof: covering potentials per level,
     the Kantorovich split with the explicit dual candidate, the dyadic
     claims in closed form, and the absorption bookkeeping.

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ineqlab.cli import load_config, main
+from ineqlab import traces
+from ineqlab.cli import _fmt, load_config, main
+from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, load_grid, make, save_grid
 
 
@@ -249,3 +251,44 @@ def test_solver_failure_exits_two(tmp_path, monkeypatch, capsys):
                 "--d", "2", "--n", "8", "--out", str(tmp_path / "p3")])
     assert code == 2
     assert "error: exact transport solve failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trace_id,trace,family,params,n", [
+    ("layer-cake", traces.layer_cake_trace, "random-steps", {"scale": 64}, 32),
+    ("prop2", traces.prop2_trace, "ostwald", {"phi": 0.0625, "n_balls": 2}, 64),
+    ("prop3", traces.prop3_trace, "ball-lattice", {"phi": 0.05, "n_balls": 2, "mean": 1}, 16),
+])
+def test_trace_defaults_are_the_library_defaults(trace_id, trace, family, params, n, tmp_path):
+    out = tmp_path / trace_id
+    code = run(["trace", "--id", trace_id, "--family", family, "--d", "2", "--n", str(n), "--seed", "1",
+                "--params", ",".join(f"{k}={v}" for k, v in params.items()), "--out", str(out)])
+    rep = trace(generate(FamilySpec(GridSpec(2, n, 1.0), family, params, 1)))
+    assert code == (0 if rep.passed else 1)
+    want = [",".join(_fmt(v) for v in (trace_id, s.step, s.lhs, s.rhs, s.slack)) for s in rep.steps]
+    assert (out / "trace.csv").read_text().splitlines()[1:] == want
+    assert len(want) > 6  # the per-level steps ran
+
+
+def test_trace_ignores_options_the_trace_does_not_take(tmp_path):
+    args = ["trace", "--id", "layer-cake", "--family", "random-steps", "--params", "scale=64",
+            "--d", "2", "--n", "16", "--seed", "1"]
+    assert run(args + ["--out", str(tmp_path / "a")]) == 0
+    assert run(args + ["--eps", "0.3", "--phi", "0.1", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+def test_calibrate_gn_without_q_is_a_usage_error(tmp_path, capsys):
+    code = run(["calibrate", "--id", "gn", "--family", "random-steps", "--d", "1", "--n", "32",
+                "--seeds", "0..1", "--out", str(tmp_path / "cal")])
+    assert code == 2
+    assert "gn needs the gradient exponent q" in capsys.readouterr().err
+
+
+def test_superconductor_chain_command(tmp_path):
+    out = tmp_path / "sc1"
+    code = run(["scaling", "--functional", "superconductor-chain", "--family", "ball-lattice",
+                "--params", "phi=0.1,n_balls=1", "--d", "2", "--n", "16", "--nu", "0.5",
+                "--support-cap", "4194304", "--out", str(out)])
+    assert code == 0
+    lines = (out / "chain.csv").read_text().strip().splitlines()
+    assert sum(ln.startswith("bb-direction@") for ln in lines) == 7

@@ -10,7 +10,6 @@ from ineqlab.inequalities import (
     check,
     check_family,
     extremize,
-    parallel_map,
     prop5_instance,
     rescale_to_mean,
 )
@@ -253,12 +252,6 @@ def test_extremize_zero_budget_and_determinism():
     assert a.extra["params"] == b.extra["params"]
     with pytest.raises(ValueError):
         extremize("prop1", "stripe", grid, budget=-1, seed=5, **kw)
-
-
-def test_parallel_map_deterministic_order(monkeypatch):
-    monkeypatch.setenv("INEQLAB_THREADS", "4")
-    out = parallel_map(lambda x: x * x, range(20))
-    assert out == [x * x for x in range(20)]
 
 
 def test_unknown_id_rejected():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, make
 from ineqlab.levelgeom import (
+    ClaimRow,
     capacity_potential,
     coarea_check,
     density_set,
@@ -254,6 +257,37 @@ def test_geom_claims_single_disc():
     # per-center capacity mass close to the continuum value 2 pi / ln(L/R)
     assert by["capmass"].lhs == pytest.approx(by["capmass"].rhs, rel=0.05)
     assert by["claim2a"].passes(1e-9)
+
+
+def old_cover_rule(row):
+    """The per-claim verdict the `cover` command applied before the rows carried it."""
+    band = {"claim1": 0.10, "claim3": 0.10, "claim4": 0.10, "claim5": 0.10, "packing": 0.10,
+            "capmass": 0.05}.get(row.claim, 1e-9)
+    if row.claim == "capmass":
+        return abs(row.lhs - row.rhs) <= band * row.rhs if row.rhs else row.lhs == 0
+    return row.lhs <= row.rhs * (1 + band) + 1e-12
+
+
+def test_claim_verdicts_match_the_cover_rule():
+    spec = GridSpec(2, 128, 1.0)
+    rows, _, _ = verify_geom_claims(disc(spec, 0.2), spec.lam / 16, spec.lam / 4)
+    assert [r.claim for r in rows] == ["claim1", "claim1a", "claim1b", "packing", "claim3", "claim4",
+                                       "claim5", "capmass", "claim2a"]
+    probes = []
+    for row in rows:
+        probes.append(row)
+        for f in (0.9, 0.95 - 1e-6, 0.95 + 1e-6, 1.0, 1 + row.band - 1e-6, 1 + row.band + 1e-6, 1.2):
+            probes.append(replace(row, lhs=row.rhs * f))
+    for row in probes:
+        assert row.passed == old_cover_rule(row), row
+    assert all(row.passed for row in rows)
+
+    cap = {r.claim: r for r in rows}["capmass"]
+    assert cap.band == 0.05
+    inside = [replace(cap, lhs=cap.rhs * f) for f in (0.95 + 1e-6, 1.05 - 1e-6)]
+    outside = [replace(cap, lhs=cap.rhs * f) for f in (0.95 - 1e-6, 1.05 + 1e-6)]
+    assert all(r.passed for r in inside) and not any(r.passed for r in outside)
+    assert ClaimRow("capmass", 0.0, 0.0, 0.05).passed and not ClaimRow("capmass", 1e-3, 0.0, 0.05).passed
 
 
 def test_geom_claims_require_binary_and_d2():

@@ -153,8 +153,10 @@ def test_superconductor_shift_flow():
     phi = chi.mean
     out = superconductor_chain(fld, phi, nu=0.5, w2_kw={"support_cap": 1 << 16})
     mass = float(np.sum(chi.values) * spec.cell_volume)
-    # kinetic term integrates |delta|^2 over the tubes
-    assert out["kinetic"] == pytest.approx(delta[0] ** 2 * mass * 2.0, rel=1e-9)
+    # kinetic term integrates |B'|^2 over the tubes, B' the whole-cell shift to the next slice over dz
+    cells = [round(delta[0] * (1 - (-1.0 + (j + 0.5) * fld.dz)) / spec.h) for j in range(8)]
+    flux = np.diff(cells) * spec.h / fld.dz
+    assert out["kinetic"] == pytest.approx(np.sum(flux**2) * mass * fld.dz, rel=1e-9)
     # explicit-plan direction: every slice distance is below the kinetic cost
     assert out["passed"]
     for j, w in enumerate(out["w2_by_slice"]):
