@@ -43,7 +43,6 @@ BANDS = {
     "capmass": 0.05,
     "packing": 0.10,
     "trace": 1e-9,
-    "w2_extensivity": 0.01,
     "refine_drift": 0.02,
 }
 

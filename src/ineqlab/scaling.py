@@ -239,9 +239,13 @@ def branching_chain(m3):
 
 
 def _divergence(spec, bx, by):
-    ax = bx.reshape(spec.shape)
-    ay = by.reshape(spec.shape)
-    div = (ax - np.roll(ax, 1, axis=0)) / spec.h + (ay - np.roll(ay, 1, axis=1)) / spec.h
+    """Upwind (donor-cell) divergence of the flux (bx, by): backward
+    differences of its positive part, forward differences of its negative part."""
+    div = 0.0
+    for axis, flux in enumerate((bx, by)):
+        flux = flux.reshape(spec.shape)
+        pos, neg = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
+        div = div + (pos - np.roll(pos, 1, axis) + np.roll(neg, -1, axis) - neg) / spec.h
     return div.ravel()
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import fixtures
 from .grid import GridFunction, dilate, inf_convolve, require, wavenumber2
@@ -153,6 +152,8 @@ def layer_cake_trace(u, M=16.0, mu_count=8):
 
 def _quad_mu_ln13(lo, hi):
     """integral of (mu ln mu)^{1/3} over [lo, hi], adaptive quadrature."""
+    from scipy.integrate import quad
+
     if hi <= lo:
         return 0.0
     val, _ = quad(lambda m: (m * np.log(m)) ** (1 / 3), lo, hi, limit=200)

@@ -26,8 +26,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .grid import GridFunction, GridSpec, require, torus_gap
 
@@ -51,6 +49,8 @@ class DiscreteMeasure:
         m = np.asarray(self.masses, dtype=float).ravel()
         if m.size != self.spec.size:
             raise ValueError("mass count does not match grid size")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("masses must be finite")
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         if np.any(m < -1e-12 * max(scale, 1e-300)):
             raise ValueError("negative density")
@@ -183,30 +183,41 @@ def _shortlist(cost, a, b):
 
 
 def _restricted_lp(cost, a, b, rows, cols):
-    """Transportation LP on the listed cells: (plan values, phi, psi)."""
+    """Transportation LP on the listed cells: (plan values, phi, psi).
+
+    HiGHS called directly with scipy's method="highs" options (the same dual
+    simplex path); one column per cell, a 1 in its source and target rows.
+    """
+    from scipy.optimize._highspy import _core as hs
+
     m, k = a.size, rows.size
-    A = sparse.csc_matrix(
-        (np.ones(2 * k), np.column_stack([rows, m + cols]).ravel(), np.arange(0, 2 * k + 1, 2)),
-        shape=(m + b.size, k),
-    )
-    res = linprog(
-        cost[rows, cols],
-        A_eq=A,
-        b_eq=np.concatenate([a, b]),
-        bounds=(0, None),
-        method="highs",
-        options={
-            # presolve drops cells of tiny mass and can then report a
-            # feasible transport problem infeasible
-            "presolve": False,
-            "primal_feasibility_tolerance": LP_TOL,
-            "dual_feasibility_tolerance": LP_TOL,
-        },
-    )
-    if not res.success:
-        raise RuntimeError(f"exact transport solve failed: {res.message}")
-    y = np.asarray(res.eqlin.marginals)
-    return res.x, y[:m], y[m:]
+    lp = hs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = k
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + b.size
+    lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.arange(0, 2 * k + 1, 2, dtype=np.int32)
+    lp.a_matrix_.index_ = np.column_stack([rows, m + cols]).ravel().astype(np.int32)
+    lp.a_matrix_.value_ = np.ones(2 * k)
+    lp.col_cost_ = cost[rows, cols]
+    lp.col_lower_, lp.col_upper_ = np.zeros(k), np.full(k, hs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b])
+    opts = hs.HighsOptions()
+    # presolve drops cells of tiny mass and can then report a feasible
+    # transport problem infeasible
+    opts.presolve = "off"
+    opts.primal_feasibility_tolerance = opts.dual_feasibility_tolerance = LP_TOL
+    opts.simplex_strategy = hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = hs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = opts.log_to_console = False
+    highs = hs._Highs()
+    highs.passOptions(opts)
+    failed = hs.HighsStatus.kError in (highs.passModel(lp), highs.run())
+    status = highs.getModelStatus()
+    if failed or status != hs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"exact transport solve failed: {highs.modelStatusToString(status)}")
+    sol = highs.getSolution()
+    y = np.asarray(sol.row_dual)
+    return np.asarray(sol.col_value), y[:m], y[m:]
 
 
 def _solve_exact(u, v, support_cap):

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ineqlab
 from ineqlab import traces
 from ineqlab.cli import _fmt, load_config, main
 from ineqlab.families import FamilySpec, generate
@@ -22,6 +27,18 @@ def test_check_single_row(tmp_path):
     assert lines[0] == "id,family,seed,lhs,rhs,ratio,pass"
     assert len(lines) == 2
     assert lines[1].startswith("prop1,")
+
+
+def test_import_loads_no_scipy():
+    # HiGHS, quadrature and Nelder-Mead load scipy on first use, so a fresh
+    # command that solves nothing never pays for it
+    src = str(Path(ineqlab.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import ineqlab, ineqlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_norms_zero_field(tmp_path):

@@ -165,6 +165,18 @@ def test_superconductor_shift_flow():
         assert w <= shift_len**2 * mass * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("cells", [2, -2])
+def test_superconductor_continuity_on_shift_flows_both_ways(cells):
+    # the rounded steps are one cell on every other slice, toward larger
+    # indices for delta = -2h and toward smaller ones for delta = +2h
+    spec = GridSpec(2, 16, 1.0)
+    chi = generate(FamilySpec(spec, "ball-lattice", {"phi": 0.1, "n_balls": 1}, 0))
+    fld = shift_flow_slab(chi, (cells * spec.h, 0.0), slices=8)
+    out = superconductor_chain(fld, chi.mean, nu=0.5, w2_kw={"support_cap": 1 << 16})
+    assert max(out["continuity_residuals"]) <= 1e-12
+    assert np.count_nonzero(fld.bprime) > 0
+
+
 def test_regime2_bound_ball_lattice():
     spec = GridSpec(2, 32, 1.0)
     chi = generate(FamilySpec(spec, "ball-lattice", {"phi": 1 / 16, "n_balls": 2}, 0))

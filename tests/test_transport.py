@@ -142,6 +142,14 @@ def test_errors_negative_mass_mismatch_cap():
         w2_squared(random_density(big, 6), random_density(big, 7), support_cap=100)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_mass_rejected(bad):
+    spec = GridSpec(1, 8, 1.0)
+    u = random_density(spec, 5)
+    with pytest.raises(ValueError, match="finite"):
+        w2_squared(DiscreteMeasure(spec, [bad] + [1.0] * 7), u)
+
+
 def test_symmetry():
     spec = GridSpec(1, 16, 1.0)
     u = random_density(spec, 8)
