@@ -3,9 +3,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ineqlab import transport
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, dilate, make, shift, tile
 from ineqlab.transport import (
@@ -343,6 +344,121 @@ def test_sinkhorn_certificate_and_accuracy():
     assert abs(res.value - exact) <= res.gap + 1e-9
     assert res.duals.feasibility_slack >= -1e-9
     assert res.marginal_residual <= 1e-8 * u.total
+
+
+def log_domain_potentials(cost, a, b, eps, iters):
+    """Every epsilon stage by log-domain sweeps, kept as the reference for
+    the scaling sweeps of `transport._sinkhorn_potentials`."""
+
+    def logsumexp(z, axis):
+        zm = np.max(z, axis=axis, keepdims=True)
+        return (zm + np.log(np.sum(np.exp(z - zm), axis=axis, keepdims=True))).squeeze(axis)
+
+    la, lb = np.log(a), np.log(b)
+    f = np.zeros(a.size)
+    g = np.zeros(b.size)
+    eps_level = max(eps, float(cost.max()) / 4 if cost.max() > 0 else eps)
+    schedule = []
+    while eps_level > eps * 1.0001:
+        schedule.append(eps_level)
+        eps_level /= 2
+    schedule.append(eps)
+    for e in schedule:
+        for _ in range(max(1, iters // len(schedule))):
+            f = e * (la - logsumexp((g[None, :] - cost) / e, axis=1))
+            g = e * (lb - logsumexp((f[:, None] - cost) / e, axis=0))
+    return f, g
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.floats(1e-3, 1e-1),
+    st.integers(5, 300),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.integers(0, 2**16),
+)
+@example(1, 1, 0.078125, 21, 1e3, 34)
+def test_scaling_sweeps_match_log_domain(m, n, eps, iters, total, seed):
+    rng = np.random.default_rng(seed)
+    cost = rng.uniform(0.0, 1.0, (m, n)) * rng.choice([0.1, 1.0, 5.0])
+    a = rng.uniform(1e-3, 1.0, m)
+    b = rng.uniform(1e-3, 1.0, n)
+    a, b = a * (total / a.sum()), b * (total / b.sum())
+    f, g = transport._sinkhorn_potentials(cost, a, b, eps, iters)
+    f0, g0 = log_domain_potentials(cost, a, b, eps, iters)
+    # the potentials carry eps log(mass) terms that can dwarf the cost (the
+    # example: max cost 4e-4, f = 0.54, 4 ulp apart), so round-off is
+    # measured against the larger of the two
+    tol = 1e-12 * max(cost.max(), np.max(np.abs(f0)), np.max(np.abs(g0)))
+    assert np.max(np.abs(f - f0)) <= tol
+    assert np.max(np.abs(g - g0)) <= tol
+
+
+def _pair(n, seed, total=1.0, lam=1.0):
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(2, n, lam)
+    a, b = rng.uniform(0.1, 1.0, (2, spec.size))
+    return spec, a * (total / a.sum()), b * (total / b.sum())
+
+
+def _tiny_relative(seed):
+    spec, a, b = _pair(8, seed)
+    a[::5] *= 1e-200
+    return spec, a, b * (a.sum() / b.sum())
+
+
+def _tiny_cells(seed):
+    spec, a, b = _pair(16, seed)
+    a[::7] = 1e-250
+    return spec, a, b * (a.sum() / b.sum())
+
+
+@pytest.mark.parametrize(
+    "spec, a, b, kw",
+    [
+        (*_tiny_relative(1), {}),
+        (*_pair(8, 2, total=1e250), {}),
+        (*_pair(8, 3, total=1e-250), {}),
+        # cell masses near 1e200: the rounding step's outer product overflowed
+        (*_pair(8, 4, total=64e200), {}),
+        (*_pair(8, 5, lam=100.0), {}),
+        (*_pair(8, 6), {"eps": 1e-6}),
+        (*_tiny_cells(7), {}),
+    ],
+    ids=["relative-1e-200", "total-1e250", "total-1e-250", "cells-1e200", "lam-100", "eps-1e-6", "seed-16x16"],
+)
+def test_sinkhorn_brackets_exact_over_wide_ranges(spec, a, b, kw):
+    u, v = measure(spec, a), measure(spec, b)
+    exact = w2_squared(u, v, support_cap=spec.size**2).value
+    res = w2_squared(u, v, method="sinkhorn", **kw)
+    assert np.all(np.isfinite(res.duals.phi)) and np.all(np.isfinite(res.duals.psi))
+    assert np.isfinite(res.value) and np.isfinite(res.gap)
+    assert res.value - res.gap <= exact * (1 + 1e-9)
+    assert exact <= res.value * (1 + 1e-9)
+    # the exact solver's seed, at unit mass and unit max cost
+    si, ti = u.support(), v.support()
+    cost = transport._cost_matrix(spec, si, ti)
+    f, g = transport._sinkhorn_potentials(
+        cost / cost.max(), a[si] / a.sum(), b[ti] / b.sum(), transport.SEED_EPS, transport.SEED_SWEEPS
+    )
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
+
+
+def test_log_domain_redo_only_where_scalings_leave_range(monkeypatch):
+    calls = []
+    inner = transport._logsumexp
+    monkeypatch.setattr(transport, "_logsumexp", lambda z, axis: calls.append(axis) or inner(z, axis))
+    spec, a, b = _tiny_relative(1)
+    w2_squared(measure(spec, a), measure(spec, b), method="sinkhorn")
+    assert calls
+    calls.clear()
+    spec, a, b = _pair(16, 8)
+    u, v = measure(spec, a), measure(spec, b)
+    w2_squared(u, v, method="sinkhorn")
+    w2_squared(u, v, support_cap=spec.size**2)
+    assert not calls
 
 
 def test_plan_export(tmp_path):

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every README CLI line plus one `check` per inequality id, one
-`trace` per trace id, a prop3, a frozen prop2 and a frozen geomest
-calibration and the superconductor chain in a fresh directory, and print
-the exit code of each command and a sha256 per output file.
+`trace` per trace id, a Sinkhorn prop3 check, a prop3, a frozen prop2
+and a frozen geomest calibration and the superconductor chain in a fresh
+directory, and print the exit code of each command and a sha256 per
+output file.
 
     PYTHONPATH=src python tools/readme_digest.py <out_dir>
 
@@ -33,6 +34,8 @@ EXTRA = [
     "check --id weaklog --family ostwald --params phi=1/16,n_balls=2 --d 2 --n 64 --out chk-weaklog",
     "check --id geomest --family ball-lattice --params phi=1/16,n_balls=4 --d 2 --n 128 --out chk-geomest",
     f"check --id prop3 --family ball-lattice --params phi=0.2,mean=1 --d 2 --n 16 {BIG_CAP} --out chk-prop3",
+    "check --id prop3 --family ball-lattice --params phi=0.2,mean=1 --d 2 --n 16 --method sinkhorn "
+    "--out chk-prop3-sinkhorn",
     "check --id prop5 --family ball-lattice --params phi=0.1,n_balls=2 --d 2 --n 16 --phi 0.02 --nu 0.05 "
     "--seeds 0..2 --out chk-prop5",
     f"check --id prop4 --family single-bump --params radius=0.2 --d 2 --n 16 {BIG_CAP} --out chk-prop4",
