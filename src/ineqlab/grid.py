@@ -4,14 +4,15 @@ torus geometry every other module uses.
 Functions are piecewise constant on the cells of a uniform lattice, so
 every quadrature-type functional is an exact finite sum times h^d.  The
 torus layer is the one place that knows the geometry of the lattice: the
-per-axis wrap `torus_gap`, the separable inf-convolution with the squared
-torus distance `inf_convolve` (distance transforms, covering potentials and
-c-transforms are all instances of it), and the physical wave numbers
-`wavenumbers`/`wavenumber2` behind every Fourier multiplier.
+per-axis wrap `torus_gap` and its squared table `gap2`, the separable
+inf-convolution with the squared torus distance `inf_convolve` (distance
+transforms, potentials and c-transforms are instances of it), and the wave
+numbers `wavenumbers`/`wavenumber2` behind every Fourier multiplier.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -27,12 +28,9 @@ class GridSpec:
     lam: float
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
-        if self.n < 1:
-            raise ValueError(f"cells per axis must be positive, got {self.n}")
-        if not self.lam > 0:
-            raise ValueError(f"period must be positive, got {self.lam}")
+        require(self.d in (1, 2, 3), f"dimension must be 1, 2 or 3, got {self.d}")
+        require(not self.n < 1, f"cells per axis must be positive, got {self.n}")
+        require(self.lam > 0, f"period must be positive, got {self.lam}")
 
     @property
     def h(self):
@@ -142,6 +140,16 @@ def torus_gap(spec, diff):
     return np.minimum(diff, spec.lam - diff)
 
 
+def gap2(spec):
+    """Squared torus gap of k = 0, ..., n - 1 cells: the one per-axis distance table."""
+    return torus_gap(spec, spec.h * np.arange(spec.n)) ** 2
+
+
+def offset_distance(spec):
+    """Torus distance of each lattice offset from the origin, sqrt(g[i_0] + g[i_1] + ...), g = gap2."""
+    return np.sqrt(functools.reduce(np.add.outer, [gap2(spec)] * spec.d))
+
+
 def inf_convolve(spec, f, scale=1.0):
     """min_y f(y) + scale * dist(x, y)^2 over cell centers x, y of the torus.
 
@@ -151,7 +159,7 @@ def inf_convolve(spec, f, scale=1.0):
     f(y) + scale gap_0^2 + scale gap_1^2 + ... summed in that order.
     """
     offsets = np.arange(spec.n)
-    pen = scale * torus_gap(spec, spec.h * offsets) ** 2
+    pen = scale * gap2(spec)
     out = np.asarray(f, dtype=float).reshape(spec.shape)
     finite = np.isfinite(out)
     # a pass along one axis leaves the finite positions along the others unchanged
@@ -212,8 +220,7 @@ def tile(u, k):
 
     Per-volume integrals of local functionals are unchanged.
     """
-    if int(k) != k or k < 1:
-        raise ValueError(f"tile factor must be a positive integer, got {k}")
+    require(int(k) == k and k >= 1, f"tile factor must be a positive integer, got {k}")
     k = int(k)
     spec = u.spec
     arr = u.as_nd()
@@ -228,16 +235,14 @@ def dilate(u, ell, m):
     No resampling happens; the same cell array represents the dilated
     piecewise-constant function, so homogeneity laws are exact.
     """
-    if not ell > 0:
-        raise ValueError(f"dilation scale must be positive, got {ell}")
+    require(ell > 0, f"dilation scale must be positive, got {ell}")
     new = GridSpec(u.spec.d, u.spec.n, ell * u.spec.lam)
     return GridFunction(new, m * u.values)
 
 
 def refine(u, k):
     """Same piecewise-constant function on a k-times finer grid."""
-    if int(k) != k or k < 1:
-        raise ValueError(f"refine factor must be a positive integer, got {k}")
+    require(int(k) == k and k >= 1, f"refine factor must be a positive integer, got {k}")
     k = int(k)
     arr = u.as_nd()
     for ax in range(u.spec.d):
@@ -287,23 +292,17 @@ def load_grid(path):
     if head == _PGB1_MAGIC:
         with open(path, "rb") as f:
             raw = f.read()
-        if len(raw) < 24:
-            raise ValueError("truncated PGB1 header")
+        require(len(raw) >= 24, "truncated PGB1 header")
         d, n = struct.unpack("<ii", raw[8:16])
         (lam,) = struct.unpack("<d", raw[16:24])
         spec = GridSpec(d, n, lam)
         vals = np.frombuffer(raw[24:], dtype="<f8")
-        if vals.size != spec.size:
-            raise ValueError(
-                f"PGB1 payload has {vals.size} values, expected {spec.size}"
-            )
+        require(vals.size == spec.size, f"PGB1 payload has {vals.size} values, expected {spec.size}")
         return GridFunction(spec, vals)
     with open(path, "r") as f:
         header = f.readline().split()
-        if len(header) != 4 or header[0] != "PGF1":
-            raise ValueError("malformed grid file header")
+        require(len(header) == 4 and header[0] == "PGF1", "malformed grid file header")
         spec = GridSpec(int(header[1]), int(header[2]), float(header[3]))
         tokens = f.read().split()
-    if len(tokens) != spec.size:
-        raise ValueError(f"PGF1 has {len(tokens)} values, expected {spec.size}")
+    require(len(tokens) == spec.size, f"PGF1 has {len(tokens)} values, expected {spec.size}")
     return GridFunction(spec, np.array([float(t) for t in tokens]))

@@ -8,20 +8,22 @@ constants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fixtures
-from .grid import (GridFunction, GridSpec, is_binary, nearest_distance, require, torus_gap, wavenumber2,
-                   wavenumbers)
+from .grid import (GridFunction, GridSpec, gap2, is_binary, nearest_distance, offset_distance, require,
+                   wavenumber2, wavenumbers)
 from .norms import _level_sums, tv_norm
+
+CERT_CHUNK = 1 << 13  # entries per gather of the packing certificate
 
 
 def level_indicator(u, mu):
     """Signed indicator: +1 where u > mu, -1 where u < -mu, 0 otherwise."""
-    if mu < 0:
-        raise ValueError(f"level must be nonnegative, got {mu}")
+    require(not mu < 0, f"level must be nonnegative, got {mu}")
     return u.with_values(np.where(u.values > mu, 1.0, np.where(u.values < -mu, -1.0, 0.0)))
 
 
@@ -59,9 +61,8 @@ class MollifierKernel:
 
 
 def make_kernel(spec, kind, radius):
-    if not 0 < radius <= spec.lam / 2:
-        raise ValueError(f"kernel radius must lie in (0, lam/2], got {radius}")
-    r = nearest_distance(spec, [[0] * spec.d])
+    require(0 < radius <= spec.lam / 2, f"kernel radius must lie in (0, lam/2], got {radius}")
+    r = offset_distance(spec)
     if kind == "smooth-bump":
         w = np.maximum(0.0, 1.0 - (r / radius) ** 2) ** 3
     elif kind == "hard-disc":
@@ -69,8 +70,7 @@ def make_kernel(spec, kind, radius):
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
     total = w.sum() * spec.cell_volume
-    if total == 0:
-        raise ValueError("kernel support contains no cells; enlarge radius")
+    require(total != 0, "kernel support contains no cells; enlarge radius")
     w = w / total
     gc = lc = float("nan")
     if kind == "smooth-bump":
@@ -98,8 +98,7 @@ def mollify(u, kernel):
     Returns (u_R, ||u - u_R||_1); the displacement bound says the second is
     at most R * tv(u).
     """
-    if kernel.spec != u.spec:
-        raise ValueError("kernel and function live on different grids")
+    require(kernel.spec == u.spec, "kernel and function live on different grids")
     ur = kernel.convolve(u)
     return ur, float(np.sum(np.abs(u.values - ur.values)) * u.spec.cell_volume)
 
@@ -165,27 +164,44 @@ def density_set(chi, radius):
     return smoothed.values > 0.5 + 1e-12
 
 
-def _torus_dist2_cells(spec, cells, center_cell):
-    """Squared torus distance between cell centers, from integer indices."""
-    sq = torus_gap(spec, (cells - center_cell) * spec.h) ** 2
-    out = sq[..., 0]
-    for ax in range(1, spec.d):  # np.sum's order, without its slow short-axis reduce
-        out = out + sq[..., ax]
-    return out
+def _axis_window(n, g, c, reach):
+    """Raw index differences x - c and squared gaps g[|x - c|] from coordinate c
+    to the cells x within `reach` of it on an axis of n cells (all if 2 reach + 1 >= n)."""
+    delta = (np.arange(n) if 2 * reach + 1 >= n else (c + np.arange(-reach, reach + 1)) % n) - c
+    return delta, g[np.abs(delta)]
 
 
-def _row_slab(start, row, reach):
-    """Slices of a row-sorted cell array covering the rows within `reach`
-    of `row` on the torus; start[r] is the first cell of row r."""
-    n = start.size - 1
-    if 2 * reach + 1 >= n:
-        return [slice(None)]
-    lo, hi = row - reach, row + reach + 1
-    if lo < 0:
-        return [slice(start[lo + n], None), slice(0, start[hi])]
-    if hi > n:
-        return [slice(start[lo], None), slice(0, start[hi - n])]
-    return [slice(start[lo], start[hi])]
+def _closest_pair_d2(spec, g, centers, flat, is_center, r):
+    """Smallest squared torus distance between two centers (inf below two),
+    given as cell indices, as flat indices and as a mask of the grid.
+
+    A pair outside a center's [-r, r]^d box is r + 1 cells apart on some
+    axis, so the box minimum is exact once below ((r + 1/2) h)^2; r doubles
+    until the box wraps the torus or holds as many cells as there are
+    centers, and then every pair is compared, CERT_CHUNK entries at a time.
+    Each d^2 is g[|a_0 - b_0|] + g[|a_1 - b_1|] + ..., as in the scan.
+    """
+    m, n, d = len(centers), spec.n, spec.d
+    while 2 * r + 1 < n and (2 * r + 1) ** d < m:
+        best, step, half = np.inf, max(1, CERT_CHUNK // (2 * r + 1) ** d), (2 * r + 1) ** d // 2 + 1
+        for lo in range(0, m, step):
+            a, off, d2 = centers[lo : lo + step], 0, 0.0
+            for ax in range(d):  # the box, summed axis by axis, as in the scan
+                delta, gap = _axis_window(n, g, a[:, ax, None], r)
+                shape = [len(a)] + [-1 if x == ax else 1 for x in range(d)]
+                off, d2 = off + (delta * n ** (d - 1 - ax)).reshape(shape), d2 + gap.reshape(shape)
+            # the offsets after 0 in row-major order: each pair once
+            hit = is_center[flat[lo : lo + step, None] + off.reshape(len(a), -1)[:, half:]]
+            best = min(best, d2.reshape(len(a), -1)[:, half:][hit].min(initial=np.inf))
+        if best < ((r + 0.5) * spec.h) ** 2:
+            return best
+        r *= 2
+    best, step = np.inf, max(1, CERT_CHUNK // max(m, 1))
+    for lo in range(0, m, step):
+        d2 = sum(g[np.abs(centers[lo : lo + step, None, ax] - centers[:, ax])] for ax in range(d))
+        d2[np.arange(len(d2)), np.arange(lo, lo + len(d2))] = np.inf  # a center and itself
+        best = min(best, d2.min())
+    return best
 
 
 def maximal_packing(mask, radius, spec):
@@ -195,40 +211,40 @@ def maximal_packing(mask, radius, spec):
     center is at least R (torus distance) from all accepted centers.  The
     result is maximal, so every Omega_R cell lies within R of some center.
 
-    Cells more than floor(R/h) + 1 rows away from a center (first axis, on
-    the torus) lie farther than R + h from it, so each acceptance updates
-    only the cells of that row slab.  The separation certificate is the
-    closest pair within the slabs, unless no pair there is closer than the
-    slab reach, when it falls back to comparing all pairs.
+    The scan jumps from center to center in `alive`, and an acceptance clears
+    its R-ball with one store of a flat-offset stencil cached per edge class
+    (per axis the coordinate, or -1 when the +-reach window does not wrap).
+    Each d^2 is summed from g = gap2(spec) by raw index differences, so each
+    d^2 < R^2 decision, ties included, is that of a brute-force scan, and the
+    separation certificate is the exact closest pair (`_closest_pair_d2`).
     """
-    idx = np.flatnonzero(np.asarray(mask).ravel())
-    if idx.size == 0:
-        empty = np.zeros((0, spec.d), dtype=int)
-        return BallCover(spec, empty, float(radius), np.inf)
-    cells = np.stack(np.unravel_index(idx, spec.shape), axis=-1)
-    reach = int(radius / spec.h) + 1
-    start = np.searchsorted(cells[:, 0], np.arange(spec.n + 1))
-    alive = np.ones(idx.size, dtype=bool)
-    is_center = np.zeros(idx.size, dtype=bool)
-    d2min = np.inf  # closest pair of centers within the slabs
-    for i in range(idx.size):
-        if not alive[i]:
-            continue
-        for sl in _row_slab(start, cells[i, 0], reach):
-            d2 = _torus_dist2_cells(spec, cells[sl], cells[i])
-            alive[sl] &= d2 >= radius**2  # anything closer can never be accepted
-            earlier = d2[is_center[sl]]
-            if earlier.size:
-                d2min = min(d2min, float(earlier.min()))
-        is_center[i] = True
-    centers = cells[is_center]
-    if d2min < (reach * spec.h) ** 2 or 2 * reach + 1 >= spec.n:
-        dmin = float(np.sqrt(d2min))
-    else:  # every pair may lie beyond the slabs: compare all of them
-        dmin = np.inf
-        for i in range(len(centers) - 1):
-            d2 = _torus_dist2_cells(spec, centers[i + 1 :], centers[i])
-            dmin = min(dmin, float(np.sqrt(d2.min())))
+    flat = np.asarray(mask).ravel()
+    require(flat.size == spec.size, f"mask has {flat.size} cells, the grid {spec.size}")
+    require(0 < radius < np.inf, f"packing radius must be positive and finite, got {radius}")
+    alive = bytearray(flat.size)  # one buffer: a copy of the mask would raise the peak memory
+    view = np.frombuffer(alive, dtype=bool)
+    np.not_equal(flat, 0, out=view)
+    i = alive.find(1)
+    if i < 0:
+        return BallCover(spec, np.zeros((0, spec.d), dtype=np.intp), float(radius), np.inf)
+    g, n, reach = gap2(spec), spec.n, int(radius / spec.h) + 1
+    edge = [c if c < reach or c >= n - reach else -1 for c in range(n)]
+    strides = [n ** (spec.d - 1 - ax) for ax in range(spec.d)]
+    rows, stencils, found = {}, {}, []
+    while i >= 0:
+        key = tuple(edge[i // s % n] for s in strides)
+        if key not in stencils:
+            for c in set(key) - rows.keys():  # per-axis windows
+                rows[c] = _axis_window(n, g, reach if c < 0 else c, reach)
+            off = functools.reduce(np.add.outer, [rows[c][0] * s for c, s in zip(key, strides)])
+            stencils[key] = off[functools.reduce(np.add.outer, [rows[c][1] for c in key]) < radius**2]
+        view[i + stencils[key]] = False
+        found.append(i)
+        i = alive.find(1, i + 1)
+    found = np.array(found, dtype=np.intp)
+    view[found] = True  # every cell is dead now, so the buffer marks the centers
+    centers = np.stack(np.unravel_index(found, spec.shape), axis=-1)
+    dmin = float(np.sqrt(_closest_pair_d2(spec, g, centers, found, view, reach)))
     return BallCover(spec, centers, float(radius), dmin)
 
 
@@ -239,12 +255,9 @@ def capacity_potential(cover, radius, outer):
     the distance to the nearest center.
     """
     spec = cover.spec
-    if spec.d != 2:
-        raise ValueError("log-capacity potentials are defined for d = 2 only")
-    if not radius < outer:
-        raise ValueError(f"need R < L, got R={radius}, L={outer}")
-    if outer > spec.lam / 2:
-        raise ValueError(f"outer radius exceeds lam/2: {outer}")
+    require(spec.d == 2, "log-capacity potentials are defined for d = 2 only")
+    require(radius < outer, f"need R < L, got R={radius}, L={outer}")
+    require(outer <= spec.lam / 2, f"outer radius exceeds lam/2: {outer}")
     r = nearest_distance(spec, cover.centers)
     lnLR = np.log(outer / radius)
     with np.errstate(divide="ignore"):  # no centers: r = inf, log 0 = -inf, clipped to 0
@@ -271,8 +284,7 @@ def neg_laplacian(u):
 def grad_dot(u, v):
     """integral of grad u . grad v with forward differences (summation by
     parts makes this equal to integral of (-Delta u) v exactly)."""
-    if u.spec != v.spec:
-        raise ValueError("mismatched grids")
+    require(u.spec == v.spec, "mismatched grids")
     ua, va = u.as_nd(), v.as_nd()
     total = 0.0
     for ax in range(u.spec.d):
@@ -350,14 +362,9 @@ def verify_geom_claims(chi, radius, outer):
     neg = neg_laplacian(phi)
     claim5_lhs = float(np.sum(np.maximum(neg.values, 0.0)) * spec.cell_volume)
 
-    # per-center capacity mass on a fresh single-center potential
-    single_centers = cover.centers[:1] if n else np.zeros((0, 2), dtype=int)
-    single = BallCover(spec, single_centers, radius, np.inf)
-    if n:
-        phi1 = capacity_potential(single, radius, outer)
-        cap1 = float(np.sum(np.maximum(neg_laplacian(phi1).values, 0.0)) * spec.cell_volume)
-    else:
-        cap1 = 0.0
+    # per-center capacity mass on a fresh single-center potential (0 without centers)
+    phi1 = capacity_potential(BallCover(spec, cover.centers[:1], radius, np.inf), radius, outer)
+    cap1 = float(np.sum(np.maximum(neg_laplacian(phi1).values, 0.0)) * spec.cell_volume)
 
     band = fixtures.band
     rows = [

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import nearest_distance, wavenumber2
+from .grid import offset_distance, require, wavenumber2
 
 MEAN_ZERO_RTOL = 1e-10
 
@@ -33,8 +33,7 @@ def _has_mean_zero(u, ref_scale=0.0):
 
 def lp_norm(u, p):
     """(h^d sum |u|^p)^(1/p); p = inf gives the max norm."""
-    if p != np.inf and p < 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    require(not p < 1, f"exponent must satisfy p >= 1, got {p}")
     a = np.abs(u.values)
     if p == np.inf:
         return float(a.max())
@@ -52,8 +51,7 @@ def _level_measures(u):
 
 def weak_lp_norm(u, p):
     """sup_mu mu * |{|u| >= mu}|^(1/p), exact on the finite level set."""
-    if not 1 <= p < np.inf:
-        raise ValueError(f"exponent must satisfy 1 <= p < inf, got {p}")
+    require(1 <= p < np.inf, f"exponent must satisfy 1 <= p < inf, got {p}")
     vals, meas = _level_measures(u)
     if vals.size == 0:
         return 0.0
@@ -150,8 +148,7 @@ def spectral_norm(u, s, mean_scale=0.0):
     mean_scale widens the reference scale of the vanishing-mean check, for
     fields obtained by centering a larger one.
     """
-    if float(s) not in SPECTRAL_ORDERS:
-        raise ValueError(f"unsupported spectral order {s}")
+    require(float(s) in SPECTRAL_ORDERS, f"unsupported spectral order {s}")
     if s < 0 and not _has_mean_zero(u, mean_scale):
         raise ValueError(f"spectral norm of order {s} requires vanishing mean, got mean {u.mean:g}")
     spec = u.spec
@@ -184,10 +181,9 @@ def doubleint_half_norm(f, cutoff):
     cutoff resolves the relevant modes.
     """
     spec = f.spec
-    if not 0 < cutoff <= spec.lam / 2:
-        raise ValueError(f"cutoff must lie in (0, lam/2], got {cutoff}")
+    require(0 < cutoff <= spec.lam / 2, f"cutoff must lie in (0, lam/2], got {cutoff}")
     # offset kernel K(z) = 1/|z|^{d-1} on 0 < |z| <= cutoff, as a grid array
-    dist = nearest_distance(spec, [[0] * spec.d])
+    dist = offset_distance(spec)
     kern = np.zeros(spec.shape)
     mask = (dist > 0) & (dist <= cutoff)
     kern[mask] = dist[mask] ** -(spec.d - 1)
@@ -207,8 +203,7 @@ def grad_q_norm(u, q):
     |Du| is the euclidean magnitude of the per-axis forward differences;
     q = inf gives the max magnitude.  q = 1 coincides with isotropic TV.
     """
-    if q != np.inf and q < 1:
-        raise ValueError(f"exponent must satisfy q >= 1, got {q}")
+    require(not q < 1, f"exponent must satisfy q >= 1, got {q}")
     mag = np.sqrt(sum(d**2 for d in _forward_diffs(u))) / u.spec.h
     if q == np.inf:
         return float(mag.max())
@@ -223,8 +218,7 @@ def gn_rhs(u, q):
     q = 2 estimate an exact Fourier Cauchy-Schwarz inequality (ratio <= 1);
     other q use the forward-difference gradient.
     """
-    if q != np.inf and q < 1:
-        raise ValueError(f"exponent must satisfy q >= 1, got {q}")
+    require(not q < 1, f"exponent must satisfy q >= 1, got {q}")
     if not _has_mean_zero(u):
         raise ValueError(f"gradient/inverse-gradient product requires vanishing mean, got mean {u.mean:g}")
     gq = spectral_norm(u, 1.0) if q == 2 else grad_q_norm(u, q)

@@ -1,4 +1,4 @@
-"""The level-set engine and the row-slab packing against the O(N^2) loops
+"""The level-set engine and the stencil packing against the O(N^2) loops
 they replaced, kept here as reference implementations."""
 
 import numpy as np
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, make
-from ineqlab.levelgeom import coarea_check, maximal_packing
+from ineqlab.levelgeom import coarea_check, density_set, maximal_packing, upper_level_set
 from ineqlab.norms import _has_mean_zero, tv_norm
 from ineqlab.traces import _quad_mu_ln13, _tail_sum, layer_cake_trace, prop2_trace
 
@@ -245,3 +245,65 @@ def test_packing_dense_random_mask():
     spec = GridSpec(2, 128, 1.0)
     mask = np.random.default_rng(1).random(spec.size) < 0.9
     assert_same_packing(mask, 3 * spec.h, spec)
+
+
+def _lattice_density(spec, radius, phi=0.4, n_balls=2):
+    chi = generate(FamilySpec(spec, "ball-lattice", {"phi": phi, "n_balls": n_balls}, 0))
+    return density_set(chi, radius)
+
+
+def test_packing_at_three_cells_on_80_cells():
+    # the benchmark's radius 3.0 / n, which at n = 80 is a hair below 3 h
+    spec = GridSpec(2, 80, 1.0)
+    radius = 3.0 / spec.n
+    assert radius / spec.h < 3
+    assert_same_packing(_lattice_density(spec, radius), radius, spec)
+
+
+def test_packing_at_prop2_clamped_radius():
+    # prop2_trace clamps R to lam / 8 = 16 h on 128^2: a few far-apart centers
+    u = generate(FamilySpec(GridSpec(2, 128, 1.0), "ostwald", {"phi": 1 / 16, "n_balls": 2}, 0))
+    mu = 8.0
+    radius = float(np.clip((mu * np.log(mu)) ** (-1 / 3), 2 * u.spec.h, u.spec.lam / 8))
+    assert radius == 16 * u.spec.h
+    omega = density_set(upper_level_set(u, mu), radius)
+    assert_same_packing(omega, radius, u.spec)
+    assert maximal_packing(omega, radius, spec=u.spec).count == 4
+
+
+@pytest.mark.parametrize("n", [40, 63])
+def test_packing_on_period_07(n):
+    spec = GridSpec(2, n, 0.7)
+    radius = 3.0 * spec.lam / n
+    assert_same_packing(_lattice_density(spec, radius), radius, spec)
+    mask = np.random.default_rng(n).random(spec.size) < 0.6
+    assert_same_packing(mask, 2.5 * spec.h, spec)
+
+
+def test_packing_on_32_cubed_at_two_cells():
+    spec = GridSpec(3, 32, 1.0)
+    mask = np.random.default_rng(7).random(spec.size) < 0.1
+    assert_same_packing(mask, 2 * spec.h, spec)
+
+
+def test_packing_certificate_widens_its_box():
+    # isolated cells 5-7 cells apart, R = 2 h: no pair lies in the first box
+    # (+-3 cells), so the certificate doubles it before it finds the closest pair
+    spec = GridSpec(2, 128, 1.0)
+    rng = np.random.default_rng(3)
+    grid = np.arange(0, 125, 6)
+    rows, cols = np.meshgrid(grid, grid, indexing="ij")
+    rows, cols = rows + rng.integers(0, 2, rows.shape), cols + rng.integers(0, 2, cols.shape)
+    mask = np.zeros(spec.size, dtype=bool)
+    mask[np.ravel_multi_index((rows.ravel(), cols.ravel()), spec.shape)] = True
+    assert_same_packing(mask, 2 * spec.h, spec)
+    assert maximal_packing(mask, 2 * spec.h, spec=spec).min_center_distance >= 5 * spec.h
+
+
+def test_packing_rejects_foreign_masks_and_radii():
+    spec = GridSpec(2, 16, 1.0)
+    with pytest.raises(ValueError, match="mask has 100 cells"):
+        maximal_packing(np.ones(100, dtype=bool), 0.1, spec=spec)
+    for radius in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="packing radius"):
+            maximal_packing(np.ones(spec.size, dtype=bool), radius, spec=spec)

@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 from ineqlab import traces
 from ineqlab.families import FamilySpec, generate
-from ineqlab.grid import GridFunction, GridSpec, inf_convolve, nearest_distance, torus_gap, wavenumber2, wavenumbers
+from ineqlab.grid import (
+    GridFunction,
+    GridSpec,
+    gap2,
+    inf_convolve,
+    nearest_distance,
+    offset_distance,
+    torus_gap,
+    wavenumber2,
+    wavenumbers,
+)
 from ineqlab.levelgeom import (
     BallCover,
     capacity_potential,
@@ -150,6 +160,15 @@ def test_inf_convolve_all_inf_and_offsets():
     assert np.all(inf_convolve(spec, np.full(spec.size, np.inf)) == np.inf)
     assert same_bits(nearest_distance(spec, [[0, 0]]), _offset_dist(spec))
     assert np.all(nearest_distance(spec, np.zeros((0, 2), dtype=int)) == np.inf)
+
+
+@pytest.mark.parametrize("d,n", [(1, 9), (2, 16), (2, 7), (3, 6)])
+@pytest.mark.parametrize("lam", [0.7, 1.0, 2.0])
+def test_offset_distance_is_the_offset_table(d, n, lam):
+    spec = GridSpec(d, n, lam)
+    assert same_bits(gap2(spec), _gaps(spec) ** 2)
+    assert same_bits(offset_distance(spec), _offset_dist(spec))
+    assert same_bits(offset_distance(spec), nearest_distance(spec, [[0] * d]))
 
 
 def test_torus_gap_and_wavenumbers():
