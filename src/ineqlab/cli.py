@@ -11,6 +11,7 @@ failed assertion, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
 import sys
@@ -23,7 +24,7 @@ from .families import FamilySpec, generate
 from .grid import GridSpec, load_grid, save_grid
 from .inequalities import calibrate, check, check_family, extremize, prop5_pair
 from .levelgeom import verify_geom_claims
-from .norms import _has_mean_zero, norm_report
+from .norms import _has_mean_zero, norm_report, spectral_norms
 from .scaling import HOMOGENEITY_TOL, homogeneity_check, regime_exponents
 from .traces import layer_cake_trace, prop2_trace, prop3_trace, prop5_trace
 
@@ -160,7 +161,7 @@ def _report_rows(ineq_id, reports, specs):
 
 def cmd_norms(cfg, outdir):
     u = load_grid(cfg["in"]) if "in" in cfg else generate(_family_spec(cfg, _seeds_from_cfg(cfg)[0]))
-    kinds = []
+    orders = []
     if cfg.get("all", "0") == "1":
         kinds = [
             ("lp", {"p": 4 / 3}),
@@ -170,15 +171,17 @@ def cmd_norms(cfg, outdir):
             ("log-l43", {}),
             ("weak-log", {}),
         ]
-        if _has_mean_zero(u):
-            kinds += [("spectral", {"s": -1.0}), ("spectral", {"s": -0.5})]
-        kinds += [("spectral", {"s": 0.0}), ("spectral", {"s": 1.0})]
+        orders = ([-1.0, -0.5] if _has_mean_zero(u) else []) + [0.0, 1.0]
     else:
         kinds = [(cfg["kind"], _parse_params(cfg.get("kind-params", "")))]
+    values = [norm_report(u, kind, **params) for kind, params in kinds]
+    if orders:  # the spectral orders share one transform of u
+        values += spectral_norms(u, orders)
+        kinds += [("spectral", {"s": s}) for s in orders]
     rows = []
-    for kind, params in kinds:
+    for (kind, params), value in zip(kinds, values):
         pstr = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
-        rows.append([kind, pstr, norm_report(u, kind, **params)])
+        rows.append([kind, pstr, value])
     write_csv(os.path.join(outdir, "norms.csv"), ["kind", "params", "value"], rows)
     return True
 
@@ -408,6 +411,7 @@ def _add_common(sp, transport=True):
         sp.add_argument("--method", help="transport method (exact or sinkhorn)")
 
 
+@functools.cache  # one parser per process: main() may run many times in one interpreter
 def build_parser():
     ap = argparse.ArgumentParser(prog="ineqlab", description=__doc__)
     sub = ap.add_subparsers(dest="command")

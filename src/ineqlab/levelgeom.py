@@ -51,13 +51,17 @@ class MollifierKernel:
     kind: str
     radius: float
     weights: np.ndarray = field(repr=False)
+    transform: np.ndarray = field(repr=False)  # fftn(weights), computed once
     grad_const: float
     lap_const: float
 
     def convolve(self, u):
-        f = np.fft.fftn(u.as_nd()) * np.fft.fftn(self.weights)
-        out = np.real(np.fft.ifftn(f)) * u.spec.cell_volume
-        return u.with_values(out.ravel())
+        f = np.fft.fftn(u.as_nd()) * self.transform
+        # ifftn's own axis loop, letting each pass's input go: with the transform
+        # held, no more full-size arrays are alive at once than with ifftn
+        for ax in reversed(range(u.spec.d)):
+            f = np.fft.ifft(f, axis=ax)
+        return u.with_values((np.real(f) * u.spec.cell_volume).ravel())
 
 
 def make_kernel(spec, kind, radius):
@@ -72,16 +76,17 @@ def make_kernel(spec, kind, radius):
     total = w.sum() * spec.cell_volume
     require(total != 0, "kernel support contains no cells; enlarge radius")
     w = w / total
+    fhat = np.fft.fftn(w)
     gc = lc = float("nan")
     if kind == "smooth-bump":
-        gk, lk = _spectral_l1_norms(spec, w)
+        gk, lk = _spectral_l1_norms(spec, fhat)
         gc, lc = radius * gk, radius**2 * lk
-    return MollifierKernel(spec, kind, float(radius), w, gc, lc)
+    return MollifierKernel(spec, kind, float(radius), w, fhat, gc, lc)
 
 
-def _spectral_l1_norms(spec, arr):
-    """||grad arr||_1 (summed over axes) and ||Laplacian arr||_1, spectrally."""
-    fhat = np.fft.fftn(arr)
+def _spectral_l1_norms(spec, fhat):
+    """||grad arr||_1 (summed over axes) and ||Laplacian arr||_1, spectrally,
+    from the transform fhat = fftn(arr)."""
     k = 1j * wavenumbers(spec)
     grad = 0.0
     for ax in range(spec.d):
@@ -171,28 +176,34 @@ def _axis_window(n, g, c, reach):
     return delta, g[np.abs(delta)]
 
 
-def _closest_pair_d2(spec, g, centers, flat, is_center, r):
+def _closest_pair_d2(spec, g, centers, is_center, r):
     """Smallest squared torus distance between two centers (inf below two),
-    given as cell indices, as flat indices and as a mask of the grid.
+    given as cell indices and as a mask of the grid.
 
     A pair outside a center's [-r, r]^d box is r + 1 cells apart on some
     axis, so the box minimum is exact once below ((r + 1/2) h)^2; r doubles
     until the box wraps the torus or holds as many cells as there are
     centers, and then every pair is compared, CERT_CHUNK entries at a time.
-    Each d^2 is g[|a_0 - b_0|] + g[|a_1 - b_1|] + ..., as in the scan.
+    The boxes are looked up in the mask first, and d^2 is summed only at the
+    centers they hold, as g[|a_0 - b_0|] + g[|a_1 - b_1|] + ... from the raw
+    index differences, as in the scan.
     """
     m, n, d = len(centers), spec.n, spec.d
     while 2 * r + 1 < n and (2 * r + 1) ** d < m:
-        best, step, half = np.inf, max(1, CERT_CHUNK // (2 * r + 1) ** d), (2 * r + 1) ** d // 2 + 1
-        for lo in range(0, m, step):
-            a, off, d2 = centers[lo : lo + step], 0, 0.0
-            for ax in range(d):  # the box, summed axis by axis, as in the scan
-                delta, gap = _axis_window(n, g, a[:, ax, None], r)
-                shape = [len(a)] + [-1 if x == ax else 1 for x in range(d)]
-                off, d2 = off + (delta * n ** (d - 1 - ax)).reshape(shape), d2 + gap.reshape(shape)
-            # the offsets after 0 in row-major order: each pair once
-            hit = is_center[flat[lo : lo + step, None] + off.reshape(len(a), -1)[:, half:]]
-            best = min(best, d2.reshape(len(a), -1)[:, half:][hit].min(initial=np.inf))
+        # box offsets into the mask padded by r cells of its own wrap, so no
+        # index wraps; the offsets after 0 in row-major order: each pair once
+        side = 2 * r + 1
+        pad = np.pad(is_center.reshape(spec.shape), r, mode="wrap").ravel()
+        box = np.stack(np.unravel_index(np.arange(side**d // 2 + 1, side**d), (side,) * d)) - r
+        strides = (n + 2 * r) ** np.arange(d - 1, -1, -1)
+        off, base = strides @ box, (centers + r) @ strides
+        # flat indices of the hits in the (center, offset) table, CERT_CHUNK entries at a time
+        size = off.size
+        step = max(1, CERT_CHUNK // size)
+        hit = np.concatenate([lo * size + np.flatnonzero(pad[base[lo : lo + step, None] + off])
+                              for lo in range(0, m, step)])
+        a, col = centers[hit // size], hit % size
+        best = sum(g[np.abs((a[:, ax] + box[ax, col]) % n - a[:, ax])] for ax in range(d)).min(initial=np.inf)
         if best < ((r + 0.5) * spec.h) ** 2:
             return best
         r *= 2
@@ -244,7 +255,7 @@ def maximal_packing(mask, radius, spec):
     found = np.array(found, dtype=np.intp)
     view[found] = True  # every cell is dead now, so the buffer marks the centers
     centers = np.stack(np.unravel_index(found, spec.shape), axis=-1)
-    dmin = float(np.sqrt(_closest_pair_d2(spec, g, centers, found, view, reach)))
+    dmin = float(np.sqrt(_closest_pair_d2(spec, g, centers, view, reach)))
     return BallCover(spec, centers, float(radius), dmin)
 
 

@@ -148,11 +148,21 @@ def spectral_norm(u, s, mean_scale=0.0):
     mean_scale widens the reference scale of the vanishing-mean check, for
     fields obtained by centering a larger one.
     """
-    require(float(s) in SPECTRAL_ORDERS, f"unsupported spectral order {s}")
-    if s < 0 and not _has_mean_zero(u, mean_scale):
-        raise ValueError(f"spectral norm of order {s} requires vanishing mean, got mean {u.mean:g}")
-    spec = u.spec
-    c = np.fft.fftn(u.as_nd()) / spec.size
+    return spectral_norms(u, (s,), mean_scale)[0]
+
+
+def spectral_norms(u, orders, mean_scale=0.0):
+    """spectral_norm(u, s) for each s in orders, from one transform of u."""
+    for s in orders:
+        require(float(s) in SPECTRAL_ORDERS, f"unsupported spectral order {s}")
+        if s < 0 and not _has_mean_zero(u, mean_scale):
+            raise ValueError(f"spectral norm of order {s} requires vanishing mean, got mean {u.mean:g}")
+    c = np.fft.fftn(u.as_nd()) / u.spec.size
+    return [_multiplier_norm(u.spec, c, s) for s in orders]
+
+
+def _multiplier_norm(spec, c, s):
+    """The order-s sum of spectral_norm from the transform c = fftn(u) / N."""
     k2 = wavenumber2(spec)
     w = np.abs(c) ** 2
     zero = (0,) * spec.d
@@ -221,8 +231,8 @@ def gn_rhs(u, q):
     require(not q < 1, f"exponent must satisfy q >= 1, got {q}")
     if not _has_mean_zero(u):
         raise ValueError(f"gradient/inverse-gradient product requires vanishing mean, got mean {u.mean:g}")
-    gq = spectral_norm(u, 1.0) if q == 2 else grad_q_norm(u, q)
-    return float(np.sqrt(gq) * np.sqrt(spectral_norm(u, -1.0)))
+    gq, hm1 = spectral_norms(u, (1.0, -1.0)) if q == 2 else (grad_q_norm(u, q), spectral_norm(u, -1.0))
+    return float(np.sqrt(gq) * np.sqrt(hm1))
 
 
 def norm_report(u, kind, **params):

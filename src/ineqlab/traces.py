@@ -12,6 +12,14 @@ Level integrals over step functions are evaluated exactly: the level set
 is finite, weights with closed-form antiderivatives are integrated per
 level interval, and the one weight without a closed form, (mu ln mu)^(1/3),
 goes through adaptive quadrature.
+
+A trace builds each distinct level once and still records every per-level
+step.  prop2_trace keys a level by the bytes of {u > mu} and its (R, L): the
+density set, packing, capacity potential and the sums its steps read are
+computed once per key, and the gradient pairing once per pair of keys, so
+the six levels of a two-valued field share one cover.  layer_cake_trace
+transforms each mollified level once, for its kernel-grad norm and the
+cross-term, and each kernel once (MollifierKernel.transform).
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .levelgeom import (
     neg_laplacian,
     upper_level_set,
 )
-from .norms import _level_sums, centered_norm, lp_norm, spectral_norm, tv_norm
+from .norms import _level_sums, _multiplier_norm, centered_norm, lp_norm, spectral_norm, tv_norm
 from .transport import w2_squared, w2_to_uniform
 
 
@@ -111,9 +119,11 @@ def layer_cake_trace(u, M=16.0, mu_count=8):
             chi = level_indicator(u, mu)
             chi_r, l1 = mollify(chi, kern)
             int_abs_chi = integral(chi.with_values(np.abs(chi.values)))
-            # the cross-term bound of this level and the transform of chi_r
-            mollified[mu] = (kern.lap_const / R**2 * int_abs_chi, np.fft.fftn(chi_r.as_nd()) / spec.size)
-            grad = spectral_norm(chi_r, 1.0)  # L2 norm of the spectral gradient
+            # the cross-term bound of this level and the transform of chi_r,
+            # which also gives the L2 norm of the spectral gradient
+            hat = np.fft.fftn(chi_r.as_nd()) / spec.size
+            mollified[mu] = (kern.lap_const / R**2 * int_abs_chi, hat)
+            grad = _multiplier_norm(spec, hat, 1.0)
             steps.append(TraceStep(f"mollify@{mu:.4g}", l1, R * tv_norm(chi)))
             steps.append(
                 TraceStep(f"kernel-grad@{mu:.4g}", grad, kern.grad_const / R * np.sqrt(int_abs_chi))
@@ -122,6 +132,7 @@ def layer_cake_trace(u, M=16.0, mu_count=8):
             split_lhs = _tail_sum(u, mu)
             split_rhs = M * mu * l1 + 2 * _tail_sum(u, M * mu) + _inner(chi_r, u)
             steps.append(TraceStep(f"split@{mu:.4g}", split_lhs, split_rhs))
+            del kern  # its transform is not held while the next level's kernel is built
         # cross-term kernel bound over ordered level pairs: the integral of
         # grad chi_r . grad chi_r' with the spectral gradient, from the
         # transforms of the mollified levels
@@ -180,55 +191,64 @@ def prop2_trace(u, M=8.0, mu_count=6):
     steps = []
     umax = float(u.values.max())
 
-    potentials = {}
+    level_of, levels, dots = {}, {}, {}  # mu -> key; key -> its level; pair of keys -> grad_dot
     if umax > M:
+        up1 = u.values + 1.0
         mus = np.geomspace(M, umax * 0.999, mu_count)
         for mu in mus:
             R = (mu * np.log(mu)) ** (-1 / 3)
             R = float(np.clip(R, 2 * spec.h, spec.lam / 8))
             L = float(np.clip(R * np.sqrt(mu), 2 * R, spec.lam / 4))
-            chi = upper_level_set(u, mu)
-            omega = density_set(chi, R)
-            cover = maximal_packing(omega, R, spec=spec)
-            phi = capacity_potential(cover, R, L)
-            potentials[mu] = (phi, R, L, cover, chi)
-
-            int_chi = integral(chi)
-            geom_rhs = 2 * R * tv_norm(chi) + _inner(chi, phi)
-            steps.append(TraceStep(f"p2-geom@{mu:.4g}", int_chi, geom_rhs))
-
-            up1 = u.with_values(u.values + 1.0)
-            lhs_pos = float(np.sum(chi.values * phi.values * up1.values) * spec.cell_volume)
-            rhs_pos = float(np.sum(phi.values * up1.values) * spec.cell_volume)
-            steps.append(TraceStep(f"p2-pos@{mu:.4g}", lhs_pos, rhs_pos))
-
-            mu_rhs = 2 * R * tv_norm(chi) + (_inner(phi, u) + integral(phi)) / mu
-            steps.append(TraceStep(f"p2-mu@{mu:.4g}", int_chi, mu_rhs))
+            above = u.values > mu
+            key = level_of[mu] = (above.tobytes(), R, L)
+            if key not in levels:  # the cover of a level set at (R, L), built once
+                chi = u.with_values(above.astype(float))
+                cover = maximal_packing(density_set(chi, R), R, spec=spec)
+                phi = capacity_potential(cover, R, L)
+                levels[key] = {
+                    "phi": phi,
+                    "count": cover.count,
+                    "int_chi": integral(chi),
+                    "tv": tv_norm(chi),
+                    "chi_phi": _inner(chi, phi),
+                    "pos": (float(np.sum(chi.values * phi.values * up1) * spec.cell_volume),
+                            float(np.sum(phi.values * up1) * spec.cell_volume)),
+                    "phi_u": _inner(phi, u) + integral(phi),
+                    "cap": integral(phi.with_values(np.maximum(neg_laplacian(phi).values, 0.0))),
+                }
+            lev = levels[key]
+            steps.append(TraceStep(f"p2-geom@{mu:.4g}", lev["int_chi"], 2 * R * lev["tv"] + lev["chi_phi"]))
+            steps.append(TraceStep(f"p2-pos@{mu:.4g}", *lev["pos"]))
+            steps.append(TraceStep(f"p2-mu@{mu:.4g}", lev["int_chi"], 2 * R * lev["tv"] + lev["phi_u"] / mu))
 
         # cross-term bound over ordered pairs: the gradient pairing is
         # controlled by the positive Laplacian mass (exact), which the
         # capacity and packing steps push down to R^{-2} ln^{-1}(L/R) int chi
-        mus_list = list(potentials)
+        mus_list = list(level_of)
         worst = None
         for i, mu in enumerate(mus_list):
-            phi, R, L, cover, chi = potentials[mu]
-            cap = integral(phi.with_values(np.maximum(neg_laplacian(phi).values, 0.0)))
+            _, R, L = key = level_of[mu]
+            lev = levels[key]
+            cap, count = lev["cap"], lev["count"]
             steps.append(
                 TraceStep(
                     f"p2b-cap@{mu:.4g}",
                     cap,
-                    cover.count * 2 * np.pi / np.log(L / R) * (1 + fixtures.band("claim5")),
+                    count * 2 * np.pi / np.log(L / R) * (1 + fixtures.band("claim5")),
                 )
             )
             steps.append(
                 TraceStep(
                     f"p2b-pack@{mu:.4g}",
-                    cover.count * (np.pi / 4) * R**2,
-                    2 * integral(chi) * (1 + fixtures.band("packing")),
+                    count * (np.pi / 4) * R**2,
+                    2 * lev["int_chi"] * (1 + fixtures.band("packing")),
                 )
             )
             for mup in mus_list[: i + 1]:
-                lhs = grad_dot(phi, potentials[mup][0])
+                pair = (key, level_of[mup])
+                if pair not in dots:
+                    dots[pair] = grad_dot(lev["phi"], levels[pair[1]]["phi"])
+                lhs = dots[pair]
                 if worst is None or (cap - lhs) < (worst.rhs - worst.lhs):
                     worst = TraceStep(f"p2b-dual@{mu:.4g},{mup:.4g}", lhs, cap)
         if worst is not None:
@@ -252,7 +272,7 @@ def prop2_trace(u, M=8.0, mu_count=6):
     final = check("prop2", u, constant=np.inf)
     steps.append(TraceStep("p2-final", final.lhs, fixtures.constant("prop2") * final.rhs))
 
-    return _trace_report("prop2-trace", steps, final.lhs, final.rhs, {"levels_traced": len(potentials)},
+    return _trace_report("prop2-trace", steps, final.lhs, final.rhs, {"levels_traced": len(level_of)},
                          desc=f"M={M} mu_count={mu_count}", constant=fixtures.constant("prop2"))
 
 

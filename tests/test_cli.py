@@ -7,7 +7,7 @@ import pytest
 
 import ineqlab
 from ineqlab import traces
-from ineqlab.cli import _fmt, load_config, main
+from ineqlab.cli import _fmt, build_parser, load_config, main
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, load_grid, make, save_grid
 
@@ -112,6 +112,44 @@ def test_options_that_do_nothing_are_rejected(base, dead, tmp_path, capsys):
     with open(tmp_path / "r" / "run.cfg", "a") as fh:
         fh.write(f"{dead[0][2:]}={dead[-1] if len(dead) > 1 else '1'}\n")
     assert run(["report", str(tmp_path / "r" / "run.cfg")]) == 0
+
+
+def test_one_parser_serves_many_calls(tmp_path, capsys):
+    # main() parses with one cached parser per process; a run of calls with a
+    # parse error and --help in between gives what fresh parsers give
+    base = ["--family", "random-steps", "--d", "2", "--n", "32", "--seed", "1"]
+    calls = [
+        ["check", "--id", "prop1", *base],
+        ["check", "--id", "prop1", "--no-such-flag", *base],
+        ["norms", "--all", *base],
+        ["trace", "--help"],
+        ["trace", "--id", "layer-cake", "--params", "scale=64", *base],
+        ["check", "--id", "gn", "--q", "2", *base],
+        # the prop3 fixture threshold is exceeded at 20^2 (a fail verdict: exit 1)
+        ["check", "--id", "prop3", "--family", "ball-lattice", "--params", "phi=0.15,n_balls=2,mean=1",
+         "--d", "2", "--n", "20", "--seed", "1", "--support-cap", "4194304"],
+        ["cover", "--family", "ball-lattice", "--params", "n_balls=1,phi=0.1", "--n", "64", "--R", "1/16"],
+        [],
+    ]
+
+    def outputs(out):
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+
+    def run_all(out, fresh):
+        codes = []
+        for i, args in enumerate(calls):
+            if fresh:
+                build_parser.cache_clear()
+            codes.append(run(args + (["--out", str(out / str(i))] if args and "--help" not in args else [])))
+        return codes, outputs(out)
+
+    cached = run_all(tmp_path / "cached", fresh=False)
+    assert build_parser.cache_info().currsize == 1
+    fresh = run_all(tmp_path / "fresh", fresh=True)
+    assert cached == fresh
+    assert cached[0] == [0, 2, 0, 0, 0, 0, 1, 2, 2]
+    assert len(cached[1]) == 5
+    capsys.readouterr()
 
 
 def test_usage_error_no_command():

@@ -300,6 +300,47 @@ def test_packing_certificate_widens_its_box():
     assert maximal_packing(mask, 2 * spec.h, spec=spec).min_center_distance >= 5 * spec.h
 
 
+def closest_pair_oracle(spec, centers):
+    """Smallest torus distance over all pairs of centers, one center at a time."""
+    best = np.inf
+    for i in range(len(centers) - 1):
+        best = min(best, float(torus_dist2_oracle(spec, centers[i + 1 :], centers[i]).min()))
+    return float(np.sqrt(best))
+
+
+@pytest.mark.parametrize(
+    "d,n,density,r_cells,seed",
+    [
+        (3, 32, 0.5, 2.0, 0),  # 2933 centers in 7^3-cell boxes
+        (3, 20, 0.2, 1.5, 1),
+        (3, 24, 0.05, 2.0, 2),
+        (2, 80, 0.45, 2.0, 3),
+        (2, 96, 0.7, 2.5, 4),
+        (2, 256, 0.3, 3.0, 5),
+    ],
+)
+def test_packing_certificate_equals_all_pairs(d, n, density, r_cells, seed):
+    spec = GridSpec(d, n, 1.0)
+    radius = r_cells * spec.h
+    mask = np.random.default_rng(seed).random(spec.size) < density
+    cover = maximal_packing(mask, radius, spec=spec)
+    assert cover.count > (2 * (int(radius / spec.h) + 1) + 1) ** d  # the box branch runs
+    assert cover.min_center_distance == closest_pair_oracle(spec, cover.centers)
+
+
+def test_packing_certificate_at_three_cells_on_80_cells():
+    # the radius 3.0 / n is a hair below 3 h at n = 80, and the closest pairs sit at exactly 3 h
+    spec = GridSpec(2, 80, 1.0)
+    radius = 3.0 / spec.n
+    for seed in range(4):
+        mask = np.random.default_rng(seed).random(spec.size) < 0.3 + 0.2 * seed
+        cover = maximal_packing(mask, radius, spec=spec)
+        assert cover.count > 7**2
+        assert cover.min_center_distance == closest_pair_oracle(spec, cover.centers)
+    cover = maximal_packing(_lattice_density(spec, radius), radius, spec=spec)
+    assert cover.min_center_distance == closest_pair_oracle(spec, cover.centers)
+
+
 def test_packing_rejects_foreign_masks_and_radii():
     spec = GridSpec(2, 16, 1.0)
     with pytest.raises(ValueError, match="mask has 100 cells"):

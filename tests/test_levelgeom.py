@@ -106,6 +106,18 @@ def test_kernel_reference_constants_scale_free():
     assert k1.lap_const == pytest.approx(k2.lap_const, rel=0.05)
 
 
+@pytest.mark.parametrize("kind", ["smooth-bump", "hard-disc"])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 12)])
+def test_kernel_convolve_is_the_product_of_transforms(kind, d, n):
+    # the kernel's transform is computed once, in make_kernel, and reused
+    spec = GridSpec(d, n, 1.0)
+    u = make(spec, np.random.default_rng(d).standard_normal(spec.size))
+    k = make_kernel(spec, kind, 0.3)
+    expected = np.real(np.fft.ifftn(np.fft.fftn(u.as_nd()) * np.fft.fftn(k.weights))) * spec.cell_volume
+    assert np.array_equal(k.transform, np.fft.fftn(k.weights))
+    assert np.array_equal(k.convolve(u).values, expected.ravel())
+
+
 def test_kernel_validation():
     spec = GridSpec(1, 16, 1.0)
     with pytest.raises(ValueError):

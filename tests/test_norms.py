@@ -4,6 +4,8 @@ import pytest
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridFunction, GridSpec, dilate, make, shift
 from ineqlab.norms import (
+    SPECTRAL_ORDERS,
+    _multiplier_norm,
     centered_norm,
     doubleint_half_norm,
     gn_rhs,
@@ -11,6 +13,7 @@ from ineqlab.norms import (
     log_weighted_l43,
     lp_norm,
     spectral_norm,
+    spectral_norms,
     tv_norm,
     weak_log_norm,
     weak_lp_norm,
@@ -153,6 +156,35 @@ def test_spectral_single_mode(d, m):
     assert s0**2 == pytest.approx(2.0**d / 2, rel=1e-12)
     sm1 = spectral_norm(u, -1)
     assert sm1 == pytest.approx(2.0 / (2 * np.pi * m) * s0, rel=1e-10)
+
+
+def spectral_norm_oracle(u, s):
+    """The order-s multiplier sum on a fresh transform of u."""
+    c = np.fft.fftn(u.as_nd()) / u.spec.size
+    k = 2 * np.pi * np.fft.fftfreq(u.spec.n, d=1.0 / u.spec.n) / u.spec.lam
+    k2 = np.zeros(u.spec.shape)
+    for ax in range(u.spec.d):
+        k2 = k2 + (k**2).reshape([u.spec.n if a == ax else 1 for a in range(u.spec.d)])
+    w = np.abs(c) ** 2
+    w[(0,) * u.spec.d] = 0.0
+    k2[(0,) * u.spec.d] = 1.0
+    return float(np.sqrt(np.sum(w * k2 ** float(s)) * u.spec.lam**u.spec.d))
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
+def test_spectral_orders_share_one_transform(d, n):
+    u = random_steps(d, n, d)
+    u = u.with_values(u.values - u.mean)
+    c = np.fft.fftn(u.as_nd()) / u.spec.size
+    values = [spectral_norm(u, s) for s in SPECTRAL_ORDERS]
+    assert values == [_multiplier_norm(u.spec, c, s) for s in SPECTRAL_ORDERS]
+    assert values == spectral_norms(u, SPECTRAL_ORDERS)
+    assert values == [spectral_norm_oracle(u, s) for s in SPECTRAL_ORDERS]
+    assert gn_rhs(u, 2) == float(np.sqrt(values[-1]) * np.sqrt(values[0]))
+    with pytest.raises(ValueError, match="spectral norm of order -0.5 requires vanishing mean"):
+        spectral_norms(u.with_values(u.values + 1.0), (0.0, -0.5, 1.0))
+    with pytest.raises(ValueError, match="unsupported spectral order 2"):
+        spectral_norms(u, (1.0, 2))
 
 
 def test_spectral_rejects_nonzero_mean():

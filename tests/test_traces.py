@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
 
-from ineqlab import fixtures
+from ineqlab import fixtures, traces
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, make
 from ineqlab.inequalities import TraceStep, rescale_to_mean
-from ineqlab.norms import centered_norm, tv_norm
+from ineqlab.levelgeom import (
+    capacity_potential,
+    density_set,
+    grad_dot,
+    integral,
+    level_indicator,
+    make_kernel,
+    maximal_packing,
+    mollify,
+    neg_laplacian,
+    upper_level_set,
+)
+from ineqlab.norms import centered_norm, spectral_norm, tv_norm
 from ineqlab.traces import (
+    _inner,
     _trace_report,
     claim_a_sandwich,
     claim_b_case,
@@ -71,6 +84,21 @@ def test_layer_cake_rejects_small_m():
         layer_cake_trace(scaled_steps(0), M=1.0)
 
 
+@pytest.mark.parametrize("d,n", [(1, 128), (2, 32), (3, 16)])
+def test_layer_cake_gradient_norm_from_the_cross_term_transform(d, n):
+    # one transform per mollified level serves the kernel-grad norm and the
+    # cross-term; the norm must be spectral_norm's of the mollified level
+    u = scaled_steps(seed=2, scale=100.0, d=d, n=n)
+    rep = layer_cake_trace(u)
+    grads = [s for s in rep.steps if s.step.startswith("kernel-grad@")]
+    assert grads
+    mus = np.geomspace(*rep.extra["mu_window"], len(grads))
+    for step, mu in zip(grads, mus):
+        assert step.step == f"kernel-grad@{mu:.4g}"
+        chi_r, _ = mollify(level_indicator(u, mu), make_kernel(u.spec, "smooth-bump", mu ** (-1 / 3)))
+        assert step.lhs == spectral_norm(chi_r, 1.0)
+
+
 # ------------------------------------------------------------------- prop2
 
 
@@ -103,6 +131,98 @@ def test_prop2_trace_tail_identity():
     tail = by["p2-tail"]
     assert tail.rhs > 0
     assert tail.lhs <= tail.rhs  # fixture tail constant is safely below
+
+
+def prop2_level_steps_oracle(u, M=8.0, mu_count=6):
+    """prop2_trace's per-level steps as one loop that rebuilds every level's
+    cover and pairs every two potentials: the reference for the shared covers."""
+    spec = u.spec
+    steps, potentials = [], {}
+    umax = float(u.values.max())
+    if umax <= M:
+        return steps
+    for mu in np.geomspace(M, umax * 0.999, mu_count):
+        R = (mu * np.log(mu)) ** (-1 / 3)
+        R = float(np.clip(R, 2 * spec.h, spec.lam / 8))
+        L = float(np.clip(R * np.sqrt(mu), 2 * R, spec.lam / 4))
+        chi = upper_level_set(u, mu)
+        omega = density_set(chi, R)
+        cover = maximal_packing(omega, R, spec=spec)
+        phi = capacity_potential(cover, R, L)
+        potentials[mu] = (phi, R, L, cover, chi)
+        int_chi = integral(chi)
+        steps.append(TraceStep(f"p2-geom@{mu:.4g}", int_chi, 2 * R * tv_norm(chi) + _inner(chi, phi)))
+        up1 = u.with_values(u.values + 1.0)
+        lhs_pos = float(np.sum(chi.values * phi.values * up1.values) * spec.cell_volume)
+        rhs_pos = float(np.sum(phi.values * up1.values) * spec.cell_volume)
+        steps.append(TraceStep(f"p2-pos@{mu:.4g}", lhs_pos, rhs_pos))
+        mu_rhs = 2 * R * tv_norm(chi) + (_inner(phi, u) + integral(phi)) / mu
+        steps.append(TraceStep(f"p2-mu@{mu:.4g}", int_chi, mu_rhs))
+    mus_list = list(potentials)
+    worst = None
+    for i, mu in enumerate(mus_list):
+        phi, R, L, cover, chi = potentials[mu]
+        cap = integral(phi.with_values(np.maximum(neg_laplacian(phi).values, 0.0)))
+        cap_rhs = cover.count * 2 * np.pi / np.log(L / R) * (1 + fixtures.band("claim5"))
+        steps.append(TraceStep(f"p2b-cap@{mu:.4g}", cap, cap_rhs))
+        pack_rhs = 2 * integral(chi) * (1 + fixtures.band("packing"))
+        steps.append(TraceStep(f"p2b-pack@{mu:.4g}", cover.count * (np.pi / 4) * R**2, pack_rhs))
+        for mup in mus_list[: i + 1]:
+            lhs = grad_dot(phi, potentials[mup][0])
+            if worst is None or (cap - lhs) < (worst.rhs - worst.lhs):
+                worst = TraceStep(f"p2b-dual@{mu:.4g},{mup:.4g}", lhs, cap)
+    steps.append(worst)
+    return steps
+
+
+def discs(lam, heights, radius, n=128):
+    """Discs of the given heights at the given centers on a mean-zero
+    negative background (u >= -1 for the sizes used here)."""
+    spec = GridSpec(2, n, lam)
+    x = (np.arange(n) + 0.5) * spec.h
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    v = np.zeros(spec.shape)
+    for (cx, cy), height in heights:
+        v[(xx - cx) ** 2 + (yy - cy) ** 2 <= radius**2] = height
+    v[v == 0] = -v.sum() / np.count_nonzero(v == 0)
+    return make(spec, v.ravel())
+
+
+PROP2_FIELDS = {
+    # two-valued: all six levels select one level set, at the clamped R and L
+    "ostwald": lambda: generate(FamilySpec(GridSpec(2, 128, 1.0), "ostwald", {"phi": 0.0625, "n_balls": 2}, 0)),
+    # two level sets, each repeated at the clamped R and L
+    "two-discs": lambda: discs(1.0, [((0.25, 0.25), 9.0), ((0.7, 0.6), 12.0)], 0.1),
+    # three level sets on a larger period, where R and L differ at every level
+    "three-discs": lambda: discs(8.0, [((2, 2), 10.0), ((2, 6), 25.0), ((6, 4), 60.0)], 0.4),
+}
+
+
+@pytest.mark.parametrize("name", PROP2_FIELDS)
+def test_prop2_trace_matches_per_level_loop(name):
+    u = PROP2_FIELDS[name]()
+    assert u.values.min() >= -1
+    rep = prop2_trace(u)
+    oracle = prop2_level_steps_oracle(u)
+    assert len(oracle) == 6 * 5 + 1
+    assert [(s.step, s.lhs, s.rhs) for s in rep.steps[: len(oracle)]] == [(s.step, s.lhs, s.rhs) for s in oracle]
+    assert [s.step for s in rep.steps[len(oracle) :]] == ["p2-tail", "p2-final"]
+    assert rep.passed
+
+
+def test_prop2_trace_builds_each_cover_once(monkeypatch):
+    # the README's `trace --id prop2 ... --n 128` field: six levels, one level set, one R and L
+    calls = {}
+    for name in ("density_set", "maximal_packing", "capacity_potential", "grad_dot"):
+        def counted(*args, _fn=getattr(traces, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(traces, name, counted)
+    rep = prop2_trace(PROP2_FIELDS["ostwald"](), M=8.0)
+    assert rep.extra["levels_traced"] == 6
+    assert sum(s.step.startswith("p2-geom@") for s in rep.steps) == 6
+    assert calls == {"density_set": 1, "maximal_packing": 1, "capacity_potential": 1, "grad_dot": 1}
 
 
 def test_prop2_trace_preconditions():

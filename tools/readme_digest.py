@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Run every README CLI line plus one `check` per inequality id, one
-`trace` per trace id, a Sinkhorn prop3 check, a prop3, a frozen prop2
-and a frozen geomest calibration and the superconductor chain in a fresh
-directory, and print the exit code of each command and a sha256 per
-output file.
+"""Run every README CLI line plus one `check` per inequality id (gn at
+q = 4 and q = 2), one `trace` per trace id (layer-cake in 2D and 3D), a
+Sinkhorn prop3 check, a prop3, a frozen prop2 and a frozen geomest
+calibration and the superconductor chain in a fresh directory, and print
+the exit code of each command and a sha256 per output file.
 
     PYTHONPATH=src python tools/readme_digest.py <out_dir>
 
@@ -29,6 +29,7 @@ BIG_CAP = "--support-cap 4194304"
 EXTRA = [
     "check --id prop1 --family random-steps --d 2 --n 64 --seed 2 --out chk-prop1",
     "check --id gn --q 4 --family random-steps --d 2 --n 64 --seed 1 --out chk-gn",
+    "check --id gn --q 2 --family random-steps --d 2 --n 64 --seed 1 --out chk-gn-q2",
     "check --id weak1 --family random-steps --d 2 --n 64 --seed 1 --out chk-weak1",
     "check --id prop2 --family ostwald --params phi=1/16,n_balls=2 --d 2 --n 64 --out chk-prop2",
     "check --id weaklog --family ostwald --params phi=1/16,n_balls=2 --d 2 --n 64 --out chk-weaklog",
@@ -40,6 +41,8 @@ EXTRA = [
     "--seeds 0..2 --out chk-prop5",
     f"check --id prop4 --family single-bump --params radius=0.2 --d 2 --n 16 {BIG_CAP} --out chk-prop4",
     "trace --id layer-cake --family random-steps --params scale=64 --d 2 --n 32 --seed 1 --out tr-layer-cake",
+    "trace --id layer-cake --family random-steps --d 3 --n 16 --params blocks=4,scale=100 --seed 1 "
+    "--out tr-layer-cake-3d",
     "trace --id prop2 --family ostwald --params phi=1/16,n_balls=2 --d 2 --n 64 --mu-count 3 --out tr-prop2",
     "trace --id prop3 --family ball-lattice --params phi=0.05,n_balls=2,mean=1 --d 2 --n 24 --eps 0.4 "
     f"{BIG_CAP} --out tr-prop3",
