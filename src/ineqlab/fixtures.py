@@ -124,11 +124,6 @@ FROZEN = {
 }
 
 
-def ostwald_sweep(n=256, n_balls=4):
-    g = GridSpec(2, n, 1.0)
-    return [FamilySpec(g, "ostwald", {"phi": 2.0**-k, "n_balls": n_balls}, 0) for k in range(4, 10)]
-
-
 def prop5_frozen_sweep():
     """50 (u, v, nu) configurations at d = 2 with sparse supports.
 

@@ -90,8 +90,9 @@ class SpectrumView:
     """Fourier coefficients indexed by integer wave vectors.
 
     Layout is centered: index along each axis runs over
-    k = -n/2, ..., n/2 - 1 (fftshift order).  The coefficient at k = 0
-    equals the mean of the grid function, and Parseval holds in the form
+    k = -n/2, ..., n/2 - 1 (fftshift order).  The coefficient at k = 0,
+    index n // 2 on every axis, equals the mean of the grid function, and
+    Parseval holds in the form
 
         h^d sum |values|^2 = lam^d sum |coeffs|^2.
 
@@ -108,11 +109,6 @@ class SpectrumView:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-    def wavevectors(self):
-        """Integer wave numbers along one axis, in coefficient order."""
-        n = self.spec.n
-        return np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
 
 
 def make(spec, values):

@@ -24,7 +24,10 @@ deliberately.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -125,11 +128,31 @@ def _interp_rhs(u):
     return float(np.sqrt(tv_norm(u)) * np.sqrt(spectral_norm(u, -1)))
 
 
+@functools.cache
+def w2_exponents(d):
+    """The exact exponents of the W_2 statements in dimension d, the one place
+    they are written.  The keys named like regime_exponents rows are prop3's
+    Lebesgue exponent, prop5's threshold power of nu and Lebesgue exponent
+    (prop4's as well) and the nu weights of the W_2^2 and half-norm terms of
+    prop5 and prop4; prop3-tv and prop3-w2 are the powers of tv and W_2^2 in
+    prop3's right side, prop4-tv the power of tv in prop4's."""
+    return MappingProxyType({
+        "prop3-exponent": Fraction(2 + 3 * d, 3 * d),
+        "prop3-tv": Fraction(2 * d, 2 + 3 * d),
+        "prop3-w2": Fraction(d, 2 + 3 * d),
+        "threshold": Fraction(3 * d + 1, 3 * d + 3),
+        "lhs-power": Fraction(3 * d + 3, 3 * d + 1),
+        "w2-weight": Fraction(2, d + 1),
+        "half-weight": Fraction(1 - d, d + 1),
+        "prop4-tv": Fraction(2 * d, 3 * d + 3),
+    })
+
+
 def prop3_rhs(u, w2):
     """tv^{2d/(2+3d)} (W_2^2(u, 1))^{d/(2+3d)}.  W_2 bounds the left side, so
     an inexact solve enters by its certified lower side."""
-    d = u.spec.d
-    return tv_norm(u) ** (2 * d / (2 + 3 * d)) * w2.lower ** (d / (2 + 3 * d))
+    e = w2_exponents(u.spec.d)
+    return tv_norm(u) ** float(e["prop3-tv"]) * w2.lower ** float(e["prop3-w2"])
 
 
 def _plus_power_norm(u, shift, p):
@@ -138,8 +161,7 @@ def _plus_power_norm(u, shift, p):
     return lp_norm(u.with_values(w), p)
 
 
-def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
-          scales=None, constant=None, w2_kw=None, desc=""):
+def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, constant=None, w2_kw=None, desc=""):
     """Evaluate one inequality on explicit inputs and report lhs, rhs, ratio.
 
     The pass flag compares the ratio against `constant` (defaulting to the
@@ -173,7 +195,7 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
         extra["phi"] = phi
     elif ineq_id == "prop3":
         c = fixtures.constant("prop3") if c_thr is None else c_thr
-        p = (2 + 3 * d) / (3 * d)
+        p = float(w2_exponents(d)["prop3-exponent"])
         w2 = w2_to_uniform(u, **w2_kw)
         lhs, rhs = _plus_power_norm(u, c, p), prop3_rhs(u, w2)
         certified = w2.bounds_below
@@ -189,47 +211,41 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, nu_grid=None,
         cfix = fixtures.constant("prop5")
         if constant is not None and np.isfinite(constant):
             cfix = constant
-        thr_exp = (3 * d + 1) / (3 * d + 3)
+        e = w2_exponents(d)
+        threshold = nu ** float(e["threshold"])
         require(
-            phi <= nu**thr_exp / (2 * cfix) + 1e-12,
+            phi <= threshold / (2 * cfix) + 1e-12,
             f"precondition violated: Phi <= nu^{{(3d+1)/(3d+3)}}/(2C) (Phi={phi:g})",
         )
-        p = (3 * d + 3) / (3 * d + 1)
+        p = float(e["lhs-power"])
         w2 = w2_squared(u, v, **w2_kw)
         half = centered_norm(v, -0.5) ** 2
         terms = {
             "tv": tv_norm(u),
-            "w2": nu ** (2 / (d + 1)) * w2.lower,
-            "half": nu ** ((1 - d) / (d + 1)) * half,
+            "w2": nu ** float(e["w2-weight"]) * w2.lower,
+            "half": nu ** float(e["half-weight"]) * half,
         }
-        lhs = _plus_power_norm(u, nu**thr_exp, p)
+        lhs = _plus_power_norm(u, threshold, p)
         rhs = sum(terms.values()) ** (1 / p)
         certified = w2.bounds_below
         extra.update({"p": p, "nu": nu, "phi": phi, "terms": terms, "w2_gap": w2.gap,
                       "transport": w2})
     else:  # prop4
-        nu_grid = nu_grid if nu_grid is not None else np.logspace(-2, 2, 9)
-        h = u.spec.h
-        if scales is None:
-            # the default radii 2h..16h, clamped to lam/2 on small grids
-            radii = list(dict.fromkeys(min(s * h, u.spec.lam / 2) for s in (2, 4, 8, 16)))
-        else:
-            radii = [s * h for s in scales]
         from .levelgeom import make_kernel
 
-        p = (3 * d + 3) / (3 * d + 1)
+        e = w2_exponents(d)
+        p, w2_weight, half_weight = (float(e[k]) for k in ("lhs-power", "w2-weight", "half-weight"))
+        # the radii 2h..16h, clamped to lam/2 on small grids
+        radii = list(dict.fromkeys(min(s * u.spec.h, u.spec.lam / 2) for s in (2, 4, 8, 16)))
         candidates = [u] + [make_kernel(u.spec, "smooth-bump", r).convolve(u) for r in radii]
         # W2 and the half norm do not depend on nu: one solve per candidate
         terms = [(w2_squared(u, v_, **w2_kw).value, centered_norm(v_, -0.5) ** 2) for v_ in candidates]
-        best = -np.inf
-        for nu_ in nu_grid:
-            inner = np.inf
-            for w2_value, half in terms:
-                val = nu_ ** (2 / (d + 1)) * w2_value + nu_ ** (-(d - 1) / (d + 1)) * half
-                inner = min(inner, val)
-            best = max(best, inner)
+        best = max(
+            min(nu_**w2_weight * w2_value + nu_**half_weight * half for w2_value, half in terms)
+            for nu_ in np.logspace(-2, 2, 9)
+        )
         lhs = lp_norm(u, p)
-        rhs = tv_norm(u) ** (2 * d / (3 * d + 3)) * best ** (1 / 3)
+        rhs = tv_norm(u) ** float(e["prop4-tv"]) * best ** (1 / 3)
         certified = False
         # the inner infimum is only upper-bounded by the mollification
         # family, so this ratio is informational; the certified route is
@@ -283,8 +299,7 @@ def prop5_instance(item, constant=None, **kw):
     c = fixtures.constant("prop5") if constant is None else constant
     u = rescale_to_mean(generate(ufs), phi)
     v = rescale_to_mean(generate(vfs), phi)
-    d = u.spec.d
-    nu = factor * (2 * c * phi) ** ((3 * d + 3) / (3 * d + 1))
+    nu = factor * (2 * c * phi) ** float(w2_exponents(u.spec.d)["lhs-power"])
     return check(
         "prop5", u, v, nu=nu, constant=constant,
         desc=f"{ufs.describe()}|{vfs.describe()} phi={phi:g} nu={nu:g}", **kw,
@@ -323,17 +338,12 @@ def calibrate(ineq_id, family_specs, **kw):
 
 def _calibrate_prop3(specs, **kw):
     """Joint threshold/prefactor bisection for the W_2 interpolation bound."""
-    data = []
-    certified = True
-    for fs in specs:
-        u = generate(fs)
-        require_preconditions("prop3", u)
-        w2 = w2_to_uniform(u, **dict(kw.get("w2_kw", {})))
-        data.append((u, (2 + 3 * u.spec.d) / (3 * u.spec.d), prop3_rhs(u, w2), fs))
-        certified &= w2.bounds_below
+    fields = [generate(fs) for fs in specs]
+    reports = [check("prop3", u, constant=np.inf, **kw) for u in fields]
+    data = [(u, r.extra["p"], r.rhs) for u, r in zip(fields, reports)]
 
     def feasible(c):
-        return all(_plus_power_norm(u, c, p) <= c * rhs + 1e-15 for u, p, rhs, _ in data)
+        return all(_plus_power_norm(u, c, p) <= c * rhs + 1e-15 for u, p, rhs in data)
 
     hi = 1.0
     while not feasible(hi):
@@ -348,15 +358,15 @@ def _calibrate_prop3(specs, **kw):
         else:
             lo = mid
     c = hi
-    ratios = [_plus_power_norm(u, c, p) / rhs if rhs > 0 else 0.0 for u, p, rhs, _ in data]
+    ratios = [_plus_power_norm(u, c, p) / rhs if rhs > 0 else 0.0 for u, p, rhs in data]
     imax = int(np.argmax(ratios))
     return CalibrationResult(
         ineq_id="prop3",
         sweep_desc=f"{len(specs)} instances",
         constant=float(c),
-        argmax_desc=f"{data[imax][3].describe()} seed={data[imax][3].seed}",
+        argmax_desc=f"{specs[imax].describe()} seed={specs[imax].seed}",
         ratios=tuple(ratios),
-        extra={"prefactor_at_threshold": float(max(ratios)), "certified": certified},
+        extra={"prefactor_at_threshold": float(max(ratios)), "certified": all(r.certified for r in reports)},
     )
 
 

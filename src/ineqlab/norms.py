@@ -40,34 +40,32 @@ def lp_norm(u, p):
     return float((u.spec.cell_volume * np.sum(a**p)) ** (1.0 / p))
 
 
-def _level_measures(u):
-    """Distinct positive values v of |u| with the measures of {|u| >= v}."""
-    a = np.abs(u.values)
-    vals, cnt = np.unique(a, return_counts=True)
-    tail = np.cumsum(cnt[::-1])[::-1].astype(float)  # count of {|u| >= v}
-    keep = vals > 0
-    return vals[keep], tail[keep] * u.spec.cell_volume
+def _level_tails(u):
+    """The sorted |u| and the index there of the first occurrence of each
+    distinct positive value v, ascending: a.size - first counts {|u| >= v}."""
+    a = np.sort(np.abs(u.values))
+    return a, np.flatnonzero(np.diff(a, prepend=0.0))
 
 
 def weak_lp_norm(u, p):
     """sup_mu mu * |{|u| >= mu}|^(1/p), exact on the finite level set."""
     require(1 <= p < np.inf, f"exponent must satisfy 1 <= p < inf, got {p}")
-    vals, meas = _level_measures(u)
-    if vals.size == 0:
+    a, first = _level_tails(u)
+    if first.size == 0:
         return 0.0
-    return float(np.max(vals * meas ** (1.0 / p)))
+    meas = (a.size - first) * u.spec.cell_volume
+    return float(np.max(a[first] * meas ** (1.0 / p)))
 
 
 def weak_log_norm(u):
     """sup_{mu >= e} mu ln^{1/4}(mu) |{|u| > mu}|^{3/4}, exact level sup."""
-    a = np.abs(u.values)
     hv = u.spec.cell_volume
     e = float(np.e)
+    a, first = _level_tails(u)
     best = e * ((a > e).sum() * hv) ** 0.75  # candidate mu = e (ln e = 1)
-    vals, meas = _level_measures(u)
-    keep = vals > e  # sup approached as mu -> v from below, measure {|u| >= v}
-    if np.any(keep):
-        v, m = vals[keep], meas[keep]
+    first = first[a[first] > e]  # sup approached as mu -> v from below, measure {|u| >= v}
+    if first.size:
+        v, m = a[first], (a.size - first) * hv
         best = max(best, float(np.max(v * np.log(v) ** 0.25 * m**0.75)))
     return float(best)
 
@@ -89,28 +87,25 @@ def _level_sums(u):
 
     Returns (levels, tail_meas, tail_int, pos, neg).  levels holds the
     distinct values of |u| ascending with 0 prepended; the other arrays
-    have one entry per gap (levels[i], levels[i+1]) with midpoint mid_i:
-    the measure of {|u| > mid_i}, the integral of |u| over that set, and
-    the numbers of grid edges across which {u > mid_i} and {u < -mid_i}
-    jump.  The tails come from one sorted copy of |u| with suffix sums.
-    An edge with endpoint values a < b jumps in {u > mid} exactly for the
-    gaps with a <= mid < b, a run of consecutive gaps located by
-    searchsorted on the midpoints (exact even where a midpoint rounds onto
-    a level); difference arrays and cumsum count all runs at once, so the
-    cost is O(N log N) for any number of levels.
+    have one entry per gap (levels[i], levels[i+1]), over which the sets
+    {|u| > t}, {u > t} and {u < -t} do not change: the measure of the
+    first, which is {|u| >= levels[i+1]}, the integral of |u| over it, and
+    the numbers of grid edges across which the other two jump.  The tails
+    come from _level_tails with suffix sums.  An edge with endpoint values
+    a < b jumps in {u > t} exactly for the gaps with a < levels[i+1] <= b,
+    a run of consecutive gaps located by searchsorted on the levels;
+    difference arrays and cumsum count all runs at once, so the cost is
+    O(N log N) for any number of levels.
     """
-    a = np.sort(np.abs(u.values))
-    levels = np.concatenate([[0.0], np.unique(a[a > 0])])
-    mids = 0.5 * (levels[:-1] + levels[1:])
-    gaps = mids.size
-    below = np.searchsorted(a, mids, side="right")
-    tail_meas = (a.size - below).astype(float) * u.spec.cell_volume
-    suffix = np.append(np.cumsum(a[::-1])[::-1], 0.0)
-    tail_int = suffix[below] * u.spec.cell_volume
+    a, first = _level_tails(u)
+    top = a[first]
+    levels, gaps = np.concatenate([[0.0], top]), top.size
+    tail_meas = (a.size - first) * u.spec.cell_volume
+    tail_int = np.cumsum(a[::-1])[::-1][first] * u.spec.cell_volume
 
     arr = u.as_nd()
-    up = np.searchsorted(mids, arr)  # first gap with mid >= value
-    down = np.searchsorted(mids, -arr)  # first gap with mid >= -value
+    up = np.searchsorted(top, arr, side="right")  # the gaps i with levels[i + 1] <= value
+    down = np.searchsorted(top, -arr, side="right")
     runs = np.zeros((2, gaps + 1), dtype=np.int64)
     for ax in range(u.spec.d):
         for row, idx in enumerate((up, down)):

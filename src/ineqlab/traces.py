@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fixtures
 from .grid import GridFunction, dilate, inf_convolve, require, wavenumber2
-from .inequalities import InequalityReport, TraceStep, _ratio, check, require_preconditions
+from .inequalities import InequalityReport, TraceStep, _ratio, check, require_preconditions, w2_exponents
 from .levelgeom import (
     _coarea_sum,
     density_set,
@@ -325,7 +325,8 @@ def prop3_trace(u, eps=0.4, mu_count=6, w2_kw=None):
     w2_kw = dict(w2_kw or {})
     spec = u.spec
     d = spec.d
-    p = 2.0 / (3 * d)
+    exponent = w2_exponents(d)["prop3-exponent"]
+    p, pmass = float(exponent - 1), float(exponent)  # 2/(3d) and (2+3d)/(3d)
     c1 = claim_b_constant(p)
     steps = []
 
@@ -351,13 +352,12 @@ def prop3_trace(u, eps=0.4, mu_count=6, w2_kw=None):
     wts[:-1] += 0.5 * np.diff(lnw)
     wts[1:] += 0.5 * np.diff(lnw)
 
-    pmass = (2.0 + 3 * d) / (3 * d)
     phi_acc = np.zeros(spec.size)
     claim_rhs_acc = np.zeros(spec.size)
     geom_rhs_acc = 0.0
     t_q = 0.0
     for mu, w in zip(mus, wts):
-        R = float(np.clip(np.sqrt(c1) * mu ** (-2.0 / (3 * d)), 2 * spec.h, spec.lam / 2))
+        R = float(np.clip(np.sqrt(c1) * mu ** -p, 2 * spec.h, spec.lam / 2))
         chi = upper_level_set(u, mu)
         if not chi.values.any():
             continue
@@ -428,7 +428,7 @@ def prop5_trace(u, v, nu, constant=None, w2_kw=None):
     final = check("prop5", u, v, nu=nu, constant=np.inf, w2_kw=w2_kw)
     c = fixtures.CONSTANTS["prop5"] if constant is None else constant
     d = u.spec.d
-    pw = (3 * d + 3.0) / (3 * d + 1.0)
+    pw = float(w2_exponents(d)["lhs-power"])
     steps = []
 
     tv = tv_norm(u)

@@ -192,7 +192,9 @@ def test_criterion_08_prop5_sweep_and_rescaling():
 def test_criterion_09_log_sharpness_witness():
     ok = True
     prop1_ratios = []
-    for fs_chi, fs_u in zip(fixtures.geomest_sweep(n=256), fixtures.ostwald_sweep(n=256)):
+    g = GridSpec(2, 256, 1.0)
+    ostwald = [FamilySpec(g, "ostwald", {"phi": 2.0**-k, "n_balls": 4}, 0) for k in range(4, 10)]
+    for fs_chi, fs_u in zip(fixtures.geomest_sweep(n=256), ostwald):
         chi = generate(fs_chi)
         ok &= check("geomest", chi).passed
         prop1_ratios.append(check("prop1", generate(fs_u), constant=np.inf).ratio)

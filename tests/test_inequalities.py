@@ -154,8 +154,7 @@ def test_prop4_not_certified():
     u = rescale_to_mean(
         generate(FamilySpec(GridSpec(2, 16, 1.0), "single-bump", {"radius": 0.25}, 0)), 0.1
     )
-    r = check("prop4", u, nu_grid=[0.1, 1.0, 10.0], scales=[2, 4], constant=np.inf,
-              w2_kw={"support_cap": 65536})
+    r = check("prop4", u, constant=np.inf, w2_kw={"support_cap": 65536})
     assert not r.certified
     assert r.extra["sup_inf"] > 0
 

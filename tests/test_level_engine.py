@@ -210,7 +210,8 @@ def assert_same_packing(mask, radius, spec):
 )
 def test_packing_identical_to_brute_force(d, data, lam, r_cells, density, seed):
     # integer r_cells makes R an exact multiple of h (ties at d^2 = R^2);
-    # small n makes the row slab wrap the whole torus
+    # small n makes _axis_window span the whole axis, which sends the
+    # certificate to its all-pairs pass
     n = data.draw(st.integers(*{1: (3, 80), 2: (3, 24), 3: (3, 9)}[d]))
     spec = GridSpec(d, n, lam)
     mask = np.random.default_rng(seed).random(spec.size) < density

@@ -5,6 +5,7 @@ from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridFunction, GridSpec, dilate, make, shift
 from ineqlab.norms import (
     SPECTRAL_ORDERS,
+    _level_sums,
     _multiplier_norm,
     centered_norm,
     doubleint_half_norm,
@@ -87,6 +88,69 @@ def test_weak_log_single_level():
     u = make(GridSpec(2, n, 1.0), [A] * 16 + [0.0] * 48)
     expect = A * np.log(A) ** 0.25 * phi**0.75
     assert weak_log_norm(u) == pytest.approx(expect, rel=1e-14)
+
+
+def level_measures_oracle(u):
+    """The weak norms' level table by np.unique: the distinct positive values
+    v of |u| with the measures of {|u| >= v}."""
+    a = np.abs(u.values)
+    vals, cnt = np.unique(a, return_counts=True)
+    tail = np.cumsum(cnt[::-1])[::-1].astype(float)  # count of {|u| >= v}
+    keep = vals > 0
+    return vals[keep], tail[keep] * u.spec.cell_volume
+
+
+def level_tails_oracle(u):
+    """The tails of _level_sums by searchsorted of the gap midpoints."""
+    a = np.sort(np.abs(u.values))
+    levels = np.concatenate([[0.0], np.unique(a[a > 0])])
+    below = np.searchsorted(a, 0.5 * (levels[:-1] + levels[1:]), side="right")
+    suffix = np.append(np.cumsum(a[::-1])[::-1], 0.0)
+    return levels, (a.size - below).astype(float) * u.spec.cell_volume, suffix[below] * u.spec.cell_volume
+
+
+def tied_field(d, seed):
+    """Signed field with ties, zeros and values on both sides of e."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(d, {1: 48, 2: 10, 3: 5}[d], rng.choice([0.5, 1.0, 3.0]))
+    vals = rng.integers(-6, 7, spec.size) * rng.choice([0.3, 1.0, 2.5])
+    noisy = rng.random(spec.size) < 0.3
+    vals[noisy] = rng.normal(0.0, 5.0, noisy.sum())
+    return make(spec, vals)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_level_tails_match_unique_and_midpoint_oracles(d):
+    for seed in range(40):
+        u = tied_field(d, 100 * d + seed)
+        vals, meas = level_measures_oracle(u)
+        for p in (1, 4 / 3, 2, 3):
+            want = float(np.max(vals * meas ** (1.0 / p))) if vals.size else 0.0
+            assert weak_lp_norm(u, p) == want
+        e = float(np.e)
+        want = e * ((np.abs(u.values) > e).sum() * u.spec.cell_volume) ** 0.75
+        keep = vals > e
+        if keep.any():
+            want = max(want, float(np.max(vals[keep] * np.log(vals[keep]) ** 0.25 * meas[keep] ** 0.75)))
+        assert weak_log_norm(u) == want
+        levels, tail_meas, tail_int, _, _ = _level_sums(u)
+        for got, want in zip((levels, tail_meas, tail_int), level_tails_oracle(u)):
+            assert np.array_equal(got, want)
+
+
+def test_level_sums_on_adjacent_float_levels():
+    # 0.5 * (a + b) rounds onto b for b = 1 and a the float below it: the
+    # gap's sets still hold every cell >= b
+    a, b = np.nextafter(1.0, 0.0), 1.0
+    u = make(GridSpec(1, 6, 1.0), [a, b, b, -a, 0.0, b])
+    assert 0.5 * (a + b) == b
+    levels, tail_meas, tail_int, pos, neg = _level_sums(u)
+    assert levels.tolist() == [0.0, a, b]
+    h = u.spec.cell_volume
+    assert tail_meas.tolist() == [5 * h, 3 * h]
+    assert tail_int[1] == 3 * b * h
+    # {u > t} is cells 0, 1, 2, 5 in the lower gap and 1, 2, 5 in the upper one
+    assert pos.tolist() == [2, 4] and neg.tolist() == [2, 0]
 
 
 def test_log_weighted_l43():

@@ -10,7 +10,6 @@ from ineqlab.scaling import (
     branching_chain,
     branching_slab,
     coarsening_bound,
-    constant_slab,
     extensivity_check,
     homogeneity_check,
     regime2_bound,
@@ -137,7 +136,7 @@ def test_branching_chain_range_validation():
 def test_superconductor_constant_slab_trivial():
     spec = GridSpec(2, 16, 1.0)
     chi = generate(FamilySpec(spec, "ball-lattice", {"phi": 0.25, "n_balls": 2}, 0))
-    fld = constant_slab(chi, slices=6)
+    fld = shift_flow_slab(chi, (0.0, 0.0), slices=6)
     phi = chi.mean
     out = superconductor_chain(fld, phi, nu=0.5, w2_kw={"support_cap": 1 << 16})
     assert out["kinetic"] == 0.0
@@ -177,6 +176,27 @@ def test_superconductor_continuity_on_shift_flows_both_ways(cells):
     assert np.count_nonzero(fld.bprime) > 0
 
 
+@pytest.mark.parametrize("rel", [5e-10, 2e-9])
+def test_superconductor_top_mean_off_by_a_sliver_reports_nan(rel):
+    # a top-slice deficit mean just above the vanishing-mean tolerance leaves the
+    # half norm undefined: reported as nan, never a spectral_norm error
+    spec = GridSpec(2, 16, 1.0)
+    chi = generate(FamilySpec(spec, "ball-lattice", {"phi": 0.3, "n_balls": 1}, 0))
+    fld = shift_flow_slab(chi, (2 * spec.h, 0.0), slices=4)
+    out = superconductor_chain(fld, chi.mean * (1 + rel), nu=0.5, w2_kw={"support_cap": 1 << 16})
+    assert np.isnan(out["top_half_norm"])
+    assert not any(r.step == "regime3-slice" for r in out["rows"])
+
+
+def test_regime2_bound_reads_sinkhorn_by_its_lower_side():
+    spec = GridSpec(2, 32, 1.0)
+    chi = generate(FamilySpec(spec, "ball-lattice", {"phi": 1 / 16, "n_balls": 2}, 0))
+    exact = regime2_bound(chi, 1 / 16, w2_kw={"support_cap": 1 << 20})
+    approx = regime2_bound(chi, 1 / 16, w2_kw={"method": "sinkhorn"})
+    assert approx["w2"] <= exact["w2"]
+    assert approx["rows"][1].rhs == approx["tv"] + approx["w2"]
+
+
 def test_regime2_bound_ball_lattice():
     spec = GridSpec(2, 32, 1.0)
     chi = generate(FamilySpec(spec, "ball-lattice", {"phi": 1 / 16, "n_balls": 2}, 0))
@@ -201,28 +221,37 @@ def test_regime_exponents_exact():
 
 
 def test_regime_exponents_are_the_exponents_the_checks_use():
-    from ineqlab.inequalities import check, rescale_to_mean
-    from ineqlab.norms import centered_norm, lp_norm
+    from ineqlab.inequalities import check, rescale_to_mean, w2_exponents
+    from ineqlab.norms import centered_norm, lp_norm, tv_norm
 
-    rows = {name: float(got) for name, got, _, _ in regime_exponents()["rows"]}
-    g = GridSpec(2, 8, 1.0)
-    cap = {"support_cap": 1 << 14}
-    u3 = generate(FamilySpec(g, "ball-lattice", {"phi": 0.2, "mean": 1}, 0))
-    assert check("prop3", u3, w2_kw=cap).extra["p"] == rows["prop3-exponent"]
-    bump = generate(FamilySpec(g, "single-bump", {"radius": 0.2}, 0))
-    prop4 = check("prop4", bump, nu_grid=[1.0], scales=[2], constant=np.inf, w2_kw=cap)
-    assert prop4.extra["p"] == rows["lhs-power"]
+    rows = {name: got for name, got, _, _ in regime_exponents()["rows"]}
+    for name in ("threshold", "lhs-power", "w2-weight", "half-weight", "prop3-exponent"):
+        assert rows[name] == w2_exponents(2)[name]
+    cap = {"support_cap": 1 << 16}
+    nu = 0.01
+    for d, n in ((1, 16), (2, 8), (3, 6)):
+        e = {name: float(x) for name, x in w2_exponents(d).items()}
+        g = GridSpec(d, n, 1.0)
+        u3 = generate(FamilySpec(g, "ball-lattice", {"phi": 0.2, "mean": 1}, 0))
+        prop3 = check("prop3", u3, w2_kw=cap)
+        assert prop3.extra["p"] == e["prop3-exponent"] == (2 + 3 * d) / (3 * d)
+        # exact solve: the lower side is the value
+        assert prop3.rhs == tv_norm(u3) ** e["prop3-tv"] * prop3.extra["w2"] ** e["prop3-w2"]
+        bump = generate(FamilySpec(g, "single-bump", {"radius": 0.2}, 0))
+        prop4 = check("prop4", bump, constant=np.inf, w2_kw=cap)
+        assert prop4.extra["p"] == e["lhs-power"] == (3 * d + 3) / (3 * d + 1)
 
-    u = rescale_to_mean(generate(FamilySpec(g, "ball-lattice", {"phi": 0.2, "n_balls": 2}, 0)), 0.05)
-    v = rescale_to_mean(generate(FamilySpec(g, "ball-lattice", {"phi": 0.2, "n_balls": 1}, 1)), 0.05)
-    nu = 0.1
-    rep = check("prop5", u, v, nu=nu, constant=np.inf, w2_kw=cap)
-    assert rep.extra["p"] == rows["lhs-power"]
-    terms = rep.extra["terms"]
-    assert terms["w2"] == nu ** rows["w2-weight"] * rep.extra["transport"].lower
-    assert terms["half"] == nu ** rows["half-weight"] * centered_norm(v, -0.5) ** 2
-    above = u.with_values(np.maximum(u.values - nu ** rows["threshold"], 0.0))
-    assert rep.lhs == lp_norm(above, rows["lhs-power"]) > 0
+        u = rescale_to_mean(generate(FamilySpec(g, "ball-lattice", {"phi": 0.2, "n_balls": 2}, 0)), 0.05)
+        v = rescale_to_mean(generate(FamilySpec(g, "ball-lattice", {"phi": 0.2, "n_balls": 1}, 1)), 0.05)
+        rep = check("prop5", u, v, nu=nu, constant=np.inf, w2_kw=cap)
+        assert rep.extra["p"] == e["lhs-power"]
+        terms = rep.extra["terms"]
+        assert e["w2-weight"] == 2 / (d + 1) and e["half-weight"] == (1 - d) / (d + 1)
+        assert terms["w2"] == nu ** e["w2-weight"] * rep.extra["transport"].lower
+        assert terms["half"] == nu ** e["half-weight"] * centered_norm(v, -0.5) ** 2
+        assert e["threshold"] == (3 * d + 1) / (3 * d + 3)
+        above = u.with_values(np.maximum(u.values - nu ** e["threshold"], 0.0))
+        assert rep.lhs == lp_norm(above, e["lhs-power"]) > 0
 
 
 def test_regime_exponents_fast():

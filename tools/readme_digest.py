@@ -2,7 +2,8 @@
 """Run every README CLI line plus one `check` per inequality id (gn at
 q = 4 and q = 2), one `trace` per trace id (layer-cake in 2D and 3D), a
 Sinkhorn prop3 check, a prop3, a frozen prop2 and a frozen geomest
-calibration and the superconductor chain in a fresh directory, and print
+calibration, the superconductor chain, and prop3, prop5 and prop4 checks
+and prop3 and prop5 traces at d = 1 or 3 in a fresh directory, and print
 the exit code of each command and a sha256 per output file.
 
     PYTHONPATH=src python tools/readme_digest.py <out_dir>
@@ -54,6 +55,15 @@ EXTRA = [
     "calibrate --id geomest --frozen --out cal-geomest",
     "scaling --functional superconductor-chain --family ball-lattice --params phi=0.1,n_balls=1 --d 2 --n 16 "
     f"--nu 0.5 {BIG_CAP} --out sc1",
+    # the W2 statements off d = 2
+    f"check --id prop3 --family ball-lattice --params phi=0.2,mean=1 --d 3 --n 8 {BIG_CAP} --out chk-prop3-3d",
+    "check --id prop5 --family ball-lattice --params phi=0.05,n_balls=2 --d 1 --n 64 --phi 0.02 --nu 0.05 "
+    "--seeds 0..2 --out chk-prop5-1d",
+    "check --id prop4 --family single-bump --params radius=0.3 --d 1 --n 32 --out chk-prop4-1d",
+    "trace --id prop3 --family ball-lattice --params phi=0.1,n_balls=1,mean=1 --d 3 --n 12 --eps 0.6 "
+    f"{BIG_CAP} --out tr-prop3-3d",
+    "trace --id prop5 --family ball-lattice --params phi=0.05,n_balls=2 --d 1 --n 64 --phi 0.02 --nu 0.05 "
+    "--out tr-prop5-1d",
 ]
 
 
