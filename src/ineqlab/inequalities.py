@@ -373,15 +373,85 @@ def _calibrate_prop3(specs, **kw):
 # -------------------------------------------------------------- extremizer
 
 
+class _EvaluationsSpent(Exception):
+    pass
+
+
+def _nelder_mead(f, x0, maxfev, xatol, fatol):
+    """Minimize f from x0: (x, f value), step for step as scipy's
+    minimize(f, x0, method="Nelder-Mead", options={"maxfev", "xatol", "fatol"}).
+
+    Non-adaptive coefficients; the first vertices move one coordinate each
+    by 5 % (to 0.00025 from 0).  An evaluation past maxfev stops the search
+    where it is, also within an iteration.
+    """
+    calls = 0
+
+    def func(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _EvaluationsSpent
+        calls += 1
+        return f(x.copy())
+
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = func(sim[k])
+    except _EvaluationsSpent:
+        pass
+    for _ in range(2):  # scipy sorts twice here; the sort need not keep ties in place
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+
+    while calls < maxfev:
+        try:
+            if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+            xbar = sim[:-1].sum(0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = func(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = func(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = func(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = func(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+        except _EvaluationsSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0], np.min(fsim)
+
+
 def extremize(ineq_id, family, grid, budget, seed=0, fixed=None, **kw):
     """Derivative-free ratio maximization over a family's parameter box.
 
     Deterministic multi-start (33 even starts on a 1-parameter box, else the
-    center plus 7 Philox draws), then Nelder-Mead within the evaluation
-    budget.  budget = 0 evaluates the starts only; negative budgets are rejected.
+    center plus 7 Philox draws), then Nelder-Mead from the best 3 starts
+    within the evaluation budget (_nelder_mead, an exact port of scipy's, so
+    scipy.optimize is never loaded).  budget = 0 evaluates the starts only;
+    negative budgets are rejected.
     """
-    from scipy.optimize import minimize
-
     if budget < 0:
         raise ValueError(f"evaluation budget must be nonnegative, got {budget}")
     box = parameter_box(family, grid)
@@ -417,14 +487,9 @@ def extremize(ineq_id, family, grid, budget, seed=0, fixed=None, **kw):
     if budget > 0:
         per_start = max(10, budget // max(1, min(3, len(order))))
         for i in order[:3]:
-            res = minimize(
-                objective,
-                starts[i],
-                method="Nelder-Mead",
-                options={"maxfev": per_start, "xatol": 1e-3, "fatol": 1e-10},
-            )
-            if -res.fun > best_val:
-                best_val, best_x = -res.fun, np.clip(res.x, lo, hi)
+            x, fun = _nelder_mead(objective, starts[i], per_start, xatol=1e-3, fatol=1e-10)
+            if -fun > best_val:
+                best_val, best_x = -fun, np.clip(x, lo, hi)
 
     params = dict(zip(names, np.asarray(best_x).tolist()), **fixed)
     return CalibrationResult(

@@ -24,6 +24,7 @@ cross-term, and each kernel once (MollifierKernel.transform).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -46,7 +47,7 @@ from .levelgeom import (
     upper_level_set,
 )
 from .norms import _level_sums, _multiplier_norm, centered_norm, lp_norm, spectral_norm, tv_norm
-from .transport import w2_squared, w2_to_uniform
+from .transport import _scipy_extension, w2_squared, w2_to_uniform
 
 
 def _tail_sum(u, threshold, power=1.0, weight=None):
@@ -162,12 +163,21 @@ def layer_cake_trace(u, M=16.0, mu_count=8):
 
 
 def _quad_mu_ln13(lo, hi):
-    """integral of (mu ln mu)^{1/3} over [lo, hi], adaptive quadrature."""
-    from scipy.integrate import quad
+    """integral of (mu ln mu)^{1/3} over [lo, hi], adaptive quadrature.
 
+    QUADPACK's QAGS from scipy's compiled integrate._quadpack, called as
+    quad(f, lo, hi, limit=200) calls it and with quad's flag handling, but
+    without loading scipy.integrate.
+    """
     if hi <= lo:
         return 0.0
-    val, _ = quad(lambda m: (m * np.log(m)) ** (1 / 3), lo, hi, limit=200)
+    qagse = _scipy_extension("integrate._quadpack")._qagse
+    val, _, ier = qagse(lambda m: (m * np.log(m)) ** (1 / 3), lo, hi, (), 0, 1.49e-8, 1.49e-8, 200)
+    if ier in (1, 2, 3, 4, 5, 7):
+        warnings.warn(f"QUADPACK flag {ier} on [{lo}, {hi}]: the tolerance was not met", RuntimeWarning,
+                      stacklevel=2)
+    elif ier:
+        raise ValueError(f"QUADPACK flag {ier} on [{lo}, {hi}]")
     return val
 
 

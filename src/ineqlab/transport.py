@@ -29,8 +29,13 @@ kinks from round-off merged first) and evaluates O(log mn) shifts.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import json
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -191,14 +196,61 @@ def _shortlist(cost, a, b):
     return _smallest_per_line(red, k, 1) | _smallest_per_line(red, k, 0)
 
 
+def _scipy_extension(name):
+    """The compiled module scipy.<name>, loaded from its extension file.
+
+    Only a bare `import scipy` runs, not the init of the package around the
+    module (scipy.optimize or scipy.integrate cost about 0.4 s and 48 MB).
+    The module is put in sys.modules under its dotted name before it runs,
+    so a later import of its package reuses it; an entry already there is
+    returned as it is.
+    """
+    dotted = f"scipy.{name}"
+    if dotted in sys.modules:
+        return sys.modules[dotted]
+    import scipy
+
+    stem = Path(scipy.__file__).parent.joinpath(*name.split("."))
+    paths = [Path(f"{stem}{suffix}") for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"no extension file for {dotted}: none of {', '.join(map(str, paths))} exists", name=dotted)
+    spec = importlib.util.spec_from_file_location(dotted, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[dotted] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[dotted]
+        raise
+    return module
+
+
+@functools.cache
+def _highs_options():
+    """scipy's linprog(method="highs") options with presolve off, built once
+    and shared: passOptions copies them into each solver."""
+    hs = _scipy_extension("optimize._highspy._core")
+    opts = hs.HighsOptions()
+    # presolve drops cells of tiny mass and can then report a feasible
+    # transport problem infeasible
+    opts.presolve = "off"
+    opts.primal_feasibility_tolerance = opts.dual_feasibility_tolerance = LP_TOL
+    opts.simplex_strategy = hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = hs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = opts.log_to_console = False
+    return opts
+
+
 def _restricted_lp(cost, a, b, rows, cols):
     """Transportation LP on the listed cells: (plan values, phi, psi).
 
-    HiGHS called directly with scipy's method="highs" options (the same dual
-    simplex path); one column per cell, a 1 in its source and target rows.
+    HiGHS from scipy's compiled optimize._highspy._core (the binary
+    linprog(method="highs") calls, loaded without scipy.optimize), with
+    linprog's options and the dual simplex path, so results match it to
+    the bit; one column per cell, a 1 in its source and target rows.
     """
-    from scipy.optimize._highspy import _core as hs
-
+    hs = _scipy_extension("optimize._highspy._core")
     m, k = a.size, rows.size
     lp = hs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = k
@@ -210,16 +262,8 @@ def _restricted_lp(cost, a, b, rows, cols):
     lp.col_cost_ = cost[rows, cols]
     lp.col_lower_, lp.col_upper_ = np.zeros(k), np.full(k, hs.kHighsInf)
     lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b])
-    opts = hs.HighsOptions()
-    # presolve drops cells of tiny mass and can then report a feasible
-    # transport problem infeasible
-    opts.presolve = "off"
-    opts.primal_feasibility_tolerance = opts.dual_feasibility_tolerance = LP_TOL
-    opts.simplex_strategy = hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    opts.highs_debug_level = hs.HighsDebugLevel.kHighsDebugLevelNone
-    opts.output_flag = opts.log_to_console = False
     highs = hs._Highs()
-    highs.passOptions(opts)
+    highs.passOptions(_highs_options())
     failed = hs.HighsStatus.kError in (highs.passModel(lp), highs.run())
     status = highs.getModelStatus()
     if failed or status != hs.HighsModelStatus.kOptimal:

@@ -30,8 +30,8 @@ def test_check_single_row(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # HiGHS, quadrature and Nelder-Mead load scipy on first use, so a fresh
-    # command that solves nothing never pays for it
+    # HiGHS and quadrature load bare scipy and one extension module on first
+    # use, so a fresh command that solves nothing loads no scipy at all
     src = str(Path(ineqlab.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import ineqlab, ineqlab.cli; "

@@ -3,8 +3,9 @@
 q = 4 and q = 2), one `trace` per trace id (layer-cake in 2D and 3D), a
 Sinkhorn prop3 check, a prop3, a frozen prop2 and a frozen geomest
 calibration, the superconductor chain, and prop3, prop5 and prop4 checks
-and prop3 and prop5 traces at d = 1 or 3 in a fresh directory, and print
-the exit code of each command and a sha256 per output file.
+and prop3 and prop5 traces at d = 1 or 3, and a two-parameter prop3
+`extremize` in a fresh directory, and print the exit code of each command
+and a sha256 per output file.
 
     PYTHONPATH=src python tools/readme_digest.py <out_dir>
 
@@ -64,6 +65,9 @@ EXTRA = [
     f"{BIG_CAP} --out tr-prop3-3d",
     "trace --id prop5 --family ball-lattice --params phi=0.05,n_balls=2 --d 1 --n 64 --phi 0.02 --nu 0.05 "
     "--out tr-prop5-1d",
+    # a Nelder-Mead simplex over two parameters (radius, height)
+    f"extremize --id prop3 --family single-bump --d 2 --n 16 --params mean=1 --budget 30 --seed 1 {BIG_CAP} "
+    "--out ex-prop3-2p",
 ]
 
 
