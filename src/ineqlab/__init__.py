@@ -5,15 +5,12 @@ traces and scaling checks."""
 from .grid import (
     GridFunction,
     GridSpec,
-    SpectrumView,
     dilate,
-    from_spectrum,
     load_grid,
     make,
     refine,
     save_grid,
     tile,
-    to_spectrum,
 )
 from .families import FamilySpec, generate
 from .norms import (

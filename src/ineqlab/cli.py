@@ -25,7 +25,8 @@ from .grid import GridSpec, load_grid, save_grid
 from .inequalities import calibrate, check, check_family, extremize, prop5_pair
 from .levelgeom import verify_geom_claims
 from .norms import _has_mean_zero, norm_report, spectral_norms
-from .scaling import HOMOGENEITY_TOL, homogeneity_check, regime_exponents
+from .scaling import (HOMOGENEITY_TOL, branching_chain, branching_slab, homogeneity_check, regime_exponents,
+                      shift_flow_slab, superconductor_chain)
 from .traces import layer_cake_trace, prop2_trace, prop3_trace, prop5_trace
 
 
@@ -117,20 +118,10 @@ def _w2_kw(cfg):
     return kw
 
 
-def _check_kwargs(cfg):
-    kw = {"w2_kw": _w2_kw(cfg)}
-    if cfg.get("q"):
-        kw["q"] = _fnum(cfg["q"])
-    if cfg.get("nu"):
-        kw["nu"] = _fnum(cfg["nu"])
-    if cfg.get("threshold"):
-        kw["c_thr"] = _fnum(cfg["threshold"])
-    return kw
-
-
 # option -> (keyword, parser) of the library settings it sets; a setting the
 # user leaves out keeps the library function's own default
-_SETTINGS = {"M": ("M", _fnum), "eps": ("eps", _fnum), "mu-count": ("mu_count", int), "phi": ("phi", _fnum)}
+_SETTINGS = {"M": ("M", _fnum), "eps": ("eps", _fnum), "mu-count": ("mu_count", int), "phi": ("phi", _fnum),
+             "q": ("q", _fnum), "nu": ("nu", _fnum), "threshold": ("c_thr", _fnum)}
 
 
 def _settings(cfg, fn):
@@ -148,12 +139,7 @@ TRACE_HEADER = ["id", "step", "lhs", "rhs", "slack"]
 
 
 def _report_rows(ineq_id, reports, specs):
-    rows = []
-    for rep, fs in zip(reports, specs):
-        rows.append(
-            [ineq_id, fs.describe(), fs.seed, rep.lhs, rep.rhs, rep.ratio, rep.passed]
-        )
-    return rows
+    return [[ineq_id, fs.describe(), fs.seed, r.lhs, r.rhs, r.ratio, r.passed] for r, fs in zip(reports, specs)]
 
 
 # ----------------------------------------------------------------- commands
@@ -189,7 +175,7 @@ def cmd_norms(cfg, outdir):
 def cmd_check(cfg, outdir):
     ineq_id = cfg["id"]
     seeds = _seeds_from_cfg(cfg)
-    kw = _check_kwargs(cfg)
+    kw = _settings(cfg, check)
     specs = [_family_spec(cfg, s) for s in seeds]
     if ineq_id == "prop5":
         pair = _settings(cfg, prop5_pair)
@@ -209,11 +195,12 @@ def cmd_trace(cfg, outdir):
     if ineq_id not in TRACES:
         raise ValueError(f"unknown trace id {ineq_id!r}")
     trace, fs = TRACES[ineq_id], _family_spec(cfg, _seeds_from_cfg(cfg)[0])
+    kw = _settings(cfg, trace)
     if ineq_id == "prop5":  # the transport pair and nu come first
-        args = (*prop5_pair(fs, **_settings(cfg, prop5_pair)), _fnum(cfg["nu"]))
+        args = (*prop5_pair(fs, **_settings(cfg, prop5_pair)), kw.pop("nu"))
     else:
         args = (generate(fs),)
-    rep = trace(*args, **_settings(cfg, trace))
+    rep = trace(*args, **kw)
     rows = [[ineq_id, s.step, s.lhs, s.rhs, s.slack] for s in rep.steps]
     write_csv(os.path.join(outdir, "trace.csv"), TRACE_HEADER, rows)
     return rep.passed
@@ -225,7 +212,7 @@ def cmd_sweep(cfg, outdir):
         _fnum(p) for p in str(cfg.get("phi", "")).split(",") if p
     ] or [None]
     seeds = _seeds_from_cfg(cfg)
-    kw = _check_kwargs(cfg)
+    kw = _settings(cfg, check)
     specs, labels = [], []
     for phi in phis:
         for seed in seeds:
@@ -263,7 +250,7 @@ def cmd_calibrate(cfg, outdir):
         specs = fixtures.FROZEN[ineq_id]()
     else:
         specs = [_family_spec(cfg, s) for s in _seeds_from_cfg(cfg)]
-    cal = calibrate(ineq_id, specs, **_check_kwargs(cfg))
+    cal = calibrate(ineq_id, specs, **_settings(cfg, check))
     rows = [[ineq_id, cal.sweep_desc, cal.constant, cal.argmax_desc]]
     write_csv(
         os.path.join(outdir, "calibration.csv"),
@@ -286,7 +273,7 @@ def cmd_extremize(cfg, outdir):
         budget=int(cfg.get("budget", 100)),
         seed=_seeds_from_cfg(cfg)[0],
         fixed=_parse_params(cfg.get("params", "")),
-        w2_kw=_w2_kw(cfg),
+        **_settings(cfg, check),
     )
     write_csv(
         os.path.join(outdir, "extremize.csv"),
@@ -338,8 +325,6 @@ def cmd_scaling(cfg, outdir):
         )
         return ok
     if cfg.get("functional") == "branching-chain":
-        from .scaling import branching_chain, branching_slab
-
         p = _parse_params(cfg.get("params", ""))
         fld = branching_slab(
             _grid_from_cfg(cfg),
@@ -350,8 +335,6 @@ def cmd_scaling(cfg, outdir):
         out = branching_chain(fld)
         return _write_chain(outdir, out, fld if cfg.get("save-slices") else None)
     if cfg.get("functional") == "superconductor-chain":
-        from .scaling import shift_flow_slab, superconductor_chain
-
         p = _parse_params(cfg.get("params", ""))
         chi = generate(_family_spec(cfg, _seeds_from_cfg(cfg)[0]))
         grid = chi.spec
@@ -407,7 +390,7 @@ def _add_common(sp, transport=True):
     sp.add_argument("--params", help="family parameters k=v,k=v (fractions allowed)")
     sp.add_argument("--out", default=".")
     if transport:  # only the commands that solve W_2 read them
-        sp.add_argument("--support-cap", dest="support_cap")
+        sp.add_argument("--support-cap", dest="support-cap")
         sp.add_argument("--method", help="transport method (exact or sinkhorn)")
 
 
@@ -417,10 +400,10 @@ def build_parser():
     sub = ap.add_subparsers(dest="command")
 
     sp = sub.add_parser("norms")
-    sp.add_argument("--in", dest="infile")
+    sp.add_argument("--in")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--kind")
-    sp.add_argument("--kind-params", dest="kind_params")
+    sp.add_argument("--kind-params", dest="kind-params")
     _add_common(sp, transport=False)
 
     for name in ("check", "sweep"):
@@ -440,7 +423,7 @@ def build_parser():
     sp.add_argument("--eps")
     sp.add_argument("--nu")
     sp.add_argument("--phi")
-    sp.add_argument("--mu-count", dest="mu_count")
+    sp.add_argument("--mu-count", dest="mu-count")
     _add_common(sp)
 
     sp = sub.add_parser("calibrate")
@@ -465,17 +448,13 @@ def build_parser():
     sp.add_argument("--ell", default="2")
     sp.add_argument("--m", default="1")
     sp.add_argument("--nu")
-    sp.add_argument("--save-slices", dest="save_slices", action="store_true")
+    sp.add_argument("--save-slices", dest="save-slices", action="store_true")
     _add_common(sp)
 
     sp = sub.add_parser("report")
     sp.add_argument("config")
     sp.add_argument("--out")
     return ap
-
-
-_RENAMES = {"infile": "in", "kind_params": "kind-params", "mu_count": "mu-count",
-            "support_cap": "support-cap", "save_slices": "save-slices"}
 
 
 def main(argv=None):
@@ -496,7 +475,7 @@ def main(argv=None):
             cfg = {"command": ns.command}
             for key, val in vars(ns).items():
                 if key != "command" and val not in (None, False):
-                    cfg[_RENAMES.get(key, key)] = "1" if val is True else str(val)
+                    cfg[key] = "1" if val is True else str(val)
         return execute(cfg)
     except (ValueError, KeyError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -94,23 +94,14 @@ def _branching_stripes(spec, levels, base_period):
         raise ValueError("branching stripes need d >= 2")
     if levels < 1:
         raise ValueError("need at least one level")
-    n = spec.n
-    vert = np.arange(n) / n  # relative height of each row of cells
+    vert = np.arange(spec.n) / spec.n  # relative height of each row of cells
     out = np.zeros(spec.shape)
-    idx = np.arange(n)
     for ell in range(levels):
         period = max(2, int(round(base_period / 2**ell)))
-        width = period // 2
-        line = np.where((idx % period) < width, 1.0, -1.0)
         lo = 1.0 - 2.0 ** (-ell)
         hi = 1.0 - 2.0 ** (-(ell + 1)) if ell < levels - 1 else 1.0 + 1e-9
         rows = (vert >= lo) & (vert < hi)
-        shape = [1] * spec.d
-        shape[0] = n
-        band = np.broadcast_to(line.reshape(shape), spec.shape).copy()
-        sel = [slice(None)] * spec.d
-        sel[-1] = rows
-        out[tuple(sel)] = band[tuple(sel)]
+        out[..., rows] = _stripe(spec, period // 2, period, 1.0, -1.0, 0)[..., rows]
     return out
 
 

@@ -1,5 +1,5 @@
-"""Periodic grid functions on [0, L]^d, their Fourier spectra, and the
-torus geometry every other module uses.
+"""Periodic grid functions on [0, L]^d and the torus geometry every other
+module uses.
 
 Functions are piecewise constant on the cells of a uniform lattice, so
 every quadrature-type functional is an exact finite sum times h^d.  The
@@ -7,7 +7,9 @@ torus layer is the one place that knows the geometry of the lattice: the
 per-axis wrap `torus_gap` and its squared table `gap2`, the separable
 inf-convolution with the squared torus distance `inf_convolve` (distance
 transforms, potentials and c-transforms are instances of it), and the wave
-numbers `wavenumbers`/`wavenumber2` behind every Fourier multiplier.
+numbers `wavenumbers`/`wavenumber2` behind every Fourier multiplier.  The
+multipliers act on the unshifted transform fftn(u) / N, whose k = 0
+coefficient is the mean of u.
 """
 
 from __future__ import annotations
@@ -83,32 +85,6 @@ class GridFunction:
 
     def with_values(self, values):
         return GridFunction(self.spec, values)
-
-
-@dataclass(frozen=True)
-class SpectrumView:
-    """Fourier coefficients indexed by integer wave vectors.
-
-    Layout is centered: index along each axis runs over
-    k = -n/2, ..., n/2 - 1 (fftshift order).  The coefficient at k = 0,
-    index n // 2 on every axis, equals the mean of the grid function, and
-    Parseval holds in the form
-
-        h^d sum |values|^2 = lam^d sum |coeffs|^2.
-
-    The physical frequency of mode k is 2*pi*k/lam per axis.
-    """
-
-    spec: GridSpec
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != self.spec.shape:
-            raise ValueError("coefficient shape does not match grid")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
 
 
 def make(spec, values):
@@ -196,19 +172,6 @@ def wavenumber2(spec):
     for ax in range(spec.d):
         out = out + k2.reshape([spec.n if a == ax else 1 for a in range(spec.d)])
     return out
-
-
-def to_spectrum(u):
-    """Forward transform with the mean-at-zero normalization."""
-    c = np.fft.fftn(u.as_nd()) / u.spec.size
-    return SpectrumView(u.spec, np.fft.fftshift(c))
-
-
-def from_spectrum(sv):
-    """Inverse of to_spectrum; the result is real up to round-off."""
-    c = np.fft.ifftshift(sv.coeffs) * sv.spec.size
-    vals = np.fft.ifftn(c)
-    return GridFunction(sv.spec, np.real(vals).ravel())
 
 
 def tile(u, k):

@@ -34,6 +34,7 @@ import numpy as np
 from . import fixtures
 from .families import FamilySpec, generate, parameter_box
 from .grid import is_binary, require
+from .levelgeom import make_kernel
 from .norms import (
     _has_mean_zero,
     centered_norm,
@@ -231,8 +232,6 @@ def check(ineq_id, u, v=None, *, q=None, nu=None, c_thr=None, constant=None, w2_
         extra.update({"p": p, "nu": nu, "phi": phi, "terms": terms, "w2_gap": w2.gap,
                       "transport": w2})
     else:  # prop4
-        from .levelgeom import make_kernel
-
         e = w2_exponents(d)
         p, w2_weight, half_weight = (float(e[k]) for k in ("lhs-power", "w2-weight", "half-weight"))
         # the radii 2h..16h, clamped to lam/2 on small grids

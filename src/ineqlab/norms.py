@@ -91,21 +91,27 @@ def _level_sums(u):
     {|u| > t}, {u > t} and {u < -t} do not change: the measure of the
     first, which is {|u| >= levels[i+1]}, the integral of |u| over it, and
     the numbers of grid edges across which the other two jump.  The tails
-    come from _level_tails with suffix sums.  An edge with endpoint values
+    are suffix sums over the sorted |u|.  An edge with endpoint values
     a < b jumps in {u > t} exactly for the gaps with a < levels[i+1] <= b,
-    a run of consecutive gaps located by searchsorted on the levels;
-    difference arrays and cumsum count all runs at once, so the cost is
-    O(N log N) for any number of levels.
+    a run of consecutive gaps ending at the level index of b; the sort fixes
+    each cell's level index, and difference arrays and cumsum count all runs
+    at once, so the cost is O(N log N) for any number of levels.
     """
-    a, first = _level_tails(u)
+    mags = np.abs(u.values)
+    order = np.argsort(mags)
+    a = mags[order]
+    new = np.diff(a, prepend=0.0) != 0  # the first occurrence of each level, as in _level_tails
+    first = np.flatnonzero(new)
     top = a[first]
     levels, gaps = np.concatenate([[0.0], top]), top.size
     tail_meas = (a.size - first) * u.spec.cell_volume
     tail_int = np.cumsum(a[::-1])[::-1][first] * u.spec.cell_volume
 
-    arr = u.as_nd()
-    up = np.searchsorted(top, arr, side="right")  # the gaps i with levels[i + 1] <= value
-    down = np.searchsorted(top, -arr, side="right")
+    rank = np.empty(a.size, dtype=np.intp)
+    rank[order] = np.cumsum(new)  # the number of levels <= |u| at each cell
+    arr, rank = u.as_nd(), rank.reshape(u.spec.shape)
+    up = np.where(arr > 0, rank, 0)  # the gaps i with levels[i + 1] <= value
+    down = np.where(arr < 0, rank, 0)
     runs = np.zeros((2, gaps + 1), dtype=np.int64)
     for ax in range(u.spec.d):
         for row, idx in enumerate((up, down)):

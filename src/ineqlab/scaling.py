@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fixtures
+from .families import _stripe
 from .grid import GridFunction, GridSpec, dilate, is_binary, require, shift, tile
 from .inequalities import TraceStep, w2_exponents
 from .norms import _has_mean_zero, centered_norm, lp_norm, spectral_norm, tv_norm, weak_lp_norm
@@ -81,7 +82,7 @@ def homogeneity_check(fid, u, v=None, ell=2.0, m=1.0, param=None, w2_kw=None):
     return ScalingReport(fid, float(param or 0), ell, m, (a, b), predicted, scaled)
 
 
-def extensivity_check(ineq_id, u, k=2, v=None, w2_kw=None):
+def extensivity_check(ineq_id, u, k=2, w2_kw=None):
     """Per-volume functional values on u versus tile(u, k).
 
     Quadrature and TV functionals must agree essentially exactly, spectral
@@ -96,14 +97,13 @@ def extensivity_check(ineq_id, u, k=2, v=None, w2_kw=None):
         "prop3": [("tv", None), ("w2", None)],
     }[ineq_id]
     ut = tile(u, k)
-    vt = tile(v, k) if v is not None else None
     rows = []
     vol, vol_t = u.spec.lam**u.spec.d, ut.spec.lam**ut.spec.d
     for fid, param in pieces:
         # per-volume quantities: ||.||_p^p and squared spectral norms, the rest as they are
         power = {"lp": param, "spectral": 2.0}.get(fid, 1)
-        base = _eval_functional(fid, param, u, v, w2_kw) ** power
-        tiled = _eval_functional(fid, param, ut, vt, w2_kw) ** power
+        base = _eval_functional(fid, param, u, w2_kw=w2_kw) ** power
+        tiled = _eval_functional(fid, param, ut, w2_kw=w2_kw) ** power
         rows.append(
             ScalingReport(fid, float(param or 0), float(k), 1.0, (0.0, 0.0), base / vol, tiled / vol_t)
         )
@@ -144,16 +144,16 @@ class SlabField:
 
 
 def branching_slab(spec, slices, levels, base_period):
-    """Symmetric period-halving +-1 stripe Ansatz across the slab height."""
+    """Symmetric period-halving +-1 stripe Ansatz across the slab height;
+    the stripes vary along axis d - 2 (axis 0 of a planar slice)."""
+    require(spec.d >= 2, "a slab needs d >= 2")
     vals = np.zeros((slices, spec.size))
-    idx = np.arange(spec.n)
     for j in range(slices):
         z = -1.0 + (j + 0.5) * 2.0 / slices
         depth = 1.0 - abs(z)  # distance to the nearer surface
         level = min(levels - 1, max(0, int(np.floor(-np.log2(max(depth, 1e-9))))))
         period = max(2, int(round(base_period / 2**level)))
-        line = np.where((idx % period) < period // 2, 1.0, -1.0)
-        vals[j] = np.broadcast_to(line[:, None], spec.shape).ravel()
+        vals[j] = _stripe(spec, period // 2, period, 1.0, -1.0, spec.d - 2).ravel()
     return SlabField(spec, vals)
 
 

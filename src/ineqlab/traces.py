@@ -31,7 +31,8 @@ import numpy as np
 
 from . import fixtures
 from .grid import GridFunction, dilate, inf_convolve, require, wavenumber2
-from .inequalities import InequalityReport, TraceStep, _ratio, check, require_preconditions, w2_exponents
+from .inequalities import (InequalityReport, TraceStep, _plus_power_norm, _ratio, check, require_preconditions,
+                           w2_exponents)
 from .levelgeom import (
     _coarea_sum,
     density_set,
@@ -46,7 +47,7 @@ from .levelgeom import (
     neg_laplacian,
     upper_level_set,
 )
-from .norms import _level_sums, _multiplier_norm, centered_norm, lp_norm, spectral_norm, tv_norm
+from .norms import _level_sums, _level_tails, _multiplier_norm, centered_norm, lp_norm, spectral_norm, tv_norm
 from .transport import _scipy_extension, w2_squared, w2_to_uniform
 
 
@@ -209,10 +210,10 @@ def prop2_trace(u, M=8.0, mu_count=6):
             R = (mu * np.log(mu)) ** (-1 / 3)
             R = float(np.clip(R, 2 * spec.h, spec.lam / 8))
             L = float(np.clip(R * np.sqrt(mu), 2 * R, spec.lam / 4))
-            above = u.values > mu
-            key = level_of[mu] = (above.tobytes(), R, L)
+            # keyed by the boolean mask: hashing the float indicator costs 8x the bytes
+            key = level_of[mu] = ((u.values > mu).tobytes(), R, L)
             if key not in levels:  # the cover of a level set at (R, L), built once
-                chi = u.with_values(above.astype(float))
+                chi = upper_level_set(u, mu)
                 cover = maximal_packing(density_set(chi, R), R, spec=spec)
                 phi = capacity_potential(cover, R, L)
                 levels[key] = {
@@ -268,11 +269,11 @@ def prop2_trace(u, M=8.0, mu_count=6):
     # M > e >= -min(u) the sets {u > mu} and {|u| > mu} agree, and their
     # measure is constant between consecutive levels
     tail_rhs = 0.0
-    levels, tail_meas, _, _, _ = _level_sums(u)
-    first = int(np.searchsorted(levels, M, side="right"))
-    his = levels[first:]
+    a, first = _level_tails(u)
+    first = first[a[first] > M]  # the levels above M, ascending
+    his = a[first]
     los = np.concatenate([[M], his[:-1]])
-    for lo, hi, meas in zip(los, his, tail_meas[first - 1 :]):
+    for lo, hi, meas in zip(los, his, (a.size - first) * spec.cell_volume):
         tail_rhs += _quad_mu_ln13(lo, hi) * meas
     tail_lhs = fixtures.CONSTANTS["prop2_tail"] * _tail_sum(
         u, 2 * M, weight=lambda a: a ** (4 / 3) * np.log(a) ** (1 / 3)
@@ -444,7 +445,7 @@ def prop5_trace(u, v, nu, constant=None, w2_kw=None):
     tv = tv_norm(u)
     res = final.extra["transport"]
     half = centered_norm(v, -0.5) ** 2
-    lhs1 = lp_norm(u.with_values(np.maximum(u.values - 1.0, 0.0)), pw) ** pw
+    lhs1 = _plus_power_norm(u, 1.0, pw) ** pw
     steps.append(TraceStep("nu1", lhs1, 2 * c * (tv + res.lower + half)))
 
     # exact homogeneity of the three terms under dilation

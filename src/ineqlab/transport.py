@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,16 +87,6 @@ class DiscreteMeasure:
 class TransportPlan:
     entries: np.ndarray = field(repr=False)  # columns: src cell, dst cell, mass
     cost: float
-
-    def row_masses(self, size):
-        out = np.zeros(size)
-        np.add.at(out, self.entries[:, 0].astype(int), self.entries[:, 2])
-        return out
-
-    def col_masses(self, size):
-        out = np.zeros(size)
-        np.add.at(out, self.entries[:, 1].astype(int), self.entries[:, 2])
-        return out
 
 
 @dataclass(frozen=True)
@@ -452,23 +441,14 @@ def duality_gap(plan, duals, u, v):
     """Primal cost minus dual value, after validating feasibility of both."""
     u, v = _check_pair(u, v)
     scale = max(u.total, v.total, 1e-300)
-    if np.max(np.abs(plan.row_masses(u.spec.size) - u.masses)) > MASS_RTOL * scale:
+    src, dst, mass = plan.entries.T
+    if np.max(np.abs(np.bincount(src.astype(int), mass, u.spec.size) - u.masses)) > MASS_RTOL * scale:
         raise ValueError("plan row marginals do not match the source measure")
-    if np.max(np.abs(plan.col_masses(v.spec.size) - v.masses)) > MASS_RTOL * scale:
+    if np.max(np.abs(np.bincount(dst.astype(int), mass, v.spec.size) - v.masses)) > MASS_RTOL * scale:
         raise ValueError("plan column marginals do not match the target measure")
     if duals.feasibility_slack < -1e-9:
         raise ValueError("dual potentials are infeasible")
     return plan.cost - duals.value
-
-
-def export_plan(result, path):
-    """CSV rows src_index,dst_index,mass plus a JSON summary line."""
-    with open(path, "w") as fh:
-        fh.write("src_index,dst_index,mass\n")
-        for s, t, m in result.plan.entries:
-            fh.write(f"{int(s)},{int(t)},{m!r}\n")
-        summary = {"value": result.value, "gap": result.gap, "method": result.method}
-        fh.write("# " + json.dumps(summary) + "\n")
 
 
 # ----------------------------------------------------------- 1D CDF oracle

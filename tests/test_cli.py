@@ -332,6 +332,13 @@ def test_trace_ignores_options_the_trace_does_not_take(tmp_path):
     assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
 
 
+def test_prop5_trace_without_nu_is_a_usage_error(tmp_path, capsys):
+    code = run(["trace", "--id", "prop5", "--family", "ball-lattice", "--params", "phi=0.1,n_balls=2",
+                "--d", "2", "--n", "16", "--phi", "0.03", "--out", str(tmp_path / "tr")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: 'nu'\n"
+
+
 def test_calibrate_gn_without_q_is_a_usage_error(tmp_path, capsys):
     code = run(["calibrate", "--id", "gn", "--family", "random-steps", "--d", "1", "--n", "32",
                 "--seeds", "0..1", "--out", str(tmp_path / "cal")])

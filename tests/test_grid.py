@@ -6,13 +6,11 @@ from ineqlab.grid import (
     GridFunction,
     GridSpec,
     dilate,
-    from_spectrum,
     load_grid,
     make,
     refine,
     save_grid,
     tile,
-    to_spectrum,
 )
 from ineqlab.norms import lp_norm, tv_norm
 
@@ -48,24 +46,6 @@ def test_values_immutable():
     u = rand_grid(1, 8, 1)
     with pytest.raises(ValueError):
         u.values[0] = 5.0
-
-
-@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
-def test_spectrum_round_trip(d, n):
-    u = rand_grid(d, n, seed=d * 100 + n)
-    v = from_spectrum(to_spectrum(u))
-    assert np.max(np.abs(v.values - u.values)) <= 1e-12 * np.max(np.abs(u.values))
-
-
-@pytest.mark.parametrize("d,n", [(1, 16), (2, 8)])
-def test_spectrum_mean_and_parseval(d, n):
-    u = rand_grid(d, n, seed=5 * d + n, lam=2.0)
-    sv = to_spectrum(u)
-    zero = (n // 2,) * d  # the k = 0 mode in fftshift order
-    assert sv.coeffs[zero] == pytest.approx(u.mean, rel=1e-12, abs=1e-15)
-    lhs = u.spec.cell_volume * np.sum(u.values**2)
-    rhs = u.spec.lam**d * np.sum(np.abs(sv.coeffs) ** 2)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_tile_identity():

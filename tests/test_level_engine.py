@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, make
 from ineqlab.levelgeom import coarea_check, density_set, maximal_packing, upper_level_set
-from ineqlab.norms import _has_mean_zero, tv_norm
+from ineqlab.norms import _has_mean_zero, _level_sums, _level_tails, tv_norm
 from ineqlab.traces import _quad_mu_ln13, _tail_sum, layer_cake_trace, prop2_trace
 
 # ---------------------------------------------------------------- oracles
@@ -18,6 +18,27 @@ from ineqlab.traces import _quad_mu_ln13, _tail_sum, layer_cake_trace, prop2_tra
 def _grid_levels(u):
     levels = np.unique(np.abs(u.values))
     return np.concatenate([[0.0], levels[levels > 0]])
+
+
+def level_sums_oracle(u):
+    """_level_sums with each cell's level index found by two searchsorted
+    lookups of the field into the sorted levels."""
+    a, first = _level_tails(u)
+    top = a[first]
+    levels, gaps = np.concatenate([[0.0], top]), top.size
+    tail_meas = (a.size - first) * u.spec.cell_volume
+    tail_int = np.cumsum(a[::-1])[::-1][first] * u.spec.cell_volume
+    arr = u.as_nd()
+    up = np.searchsorted(top, arr, side="right")
+    down = np.searchsorted(top, -arr, side="right")
+    runs = np.zeros((2, gaps + 1), dtype=np.int64)
+    for ax in range(u.spec.d):
+        for row, idx in enumerate((up, down)):
+            other = np.roll(idx, -1, axis=ax)
+            runs[row] += np.bincount(np.minimum(idx, other).ravel(), minlength=gaps + 1)
+            runs[row] -= np.bincount(np.maximum(idx, other).ravel(), minlength=gaps + 1)
+    pos, neg = np.cumsum(runs, axis=1)[:, :gaps]
+    return levels, tail_meas, tail_int, pos, neg
 
 
 def coarea_oracle(u):
@@ -123,6 +144,30 @@ def step_fields(draw, zero_mean=False):
 
 def rel_close(new, old, rel=1e-12):
     return abs(new - old) <= rel * abs(old) or new == old
+
+
+# ------------------------------------------------------------ level sums
+
+
+def assert_level_sums_equal(u):
+    for got, want in zip(_level_sums(u), level_sums_oracle(u), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_fields())
+def test_level_sums_bit_equal_to_searchsorted(u):
+    assert_level_sums_equal(u)
+
+
+@pytest.mark.parametrize("d,n,seed", [(1, 64, 0), (2, 48, 1), (3, 12, 2)])
+def test_level_sums_bit_equal_on_many_levels(d, n, seed):
+    # every cell its own level, with a third of the cells set to zero or to a repeated negative value
+    raw = generate(FamilySpec(GridSpec(d, n, 1.0), "random-fourier", {"kmax": 4}, seed)).values.copy()
+    raw[::3] = 0.0
+    raw[1::7] = -raw[1]
+    assert_level_sums_equal(make(GridSpec(d, n, 1.0), raw))
 
 
 # ---------------------------------------------------------------- coarea

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,51 @@ def test_branching_chain_saturation_stripes():
     final = out["rows"][-1]
     assert final.lhs == pytest.approx(2 * spec.lam**2, rel=1e-12)
     assert out["passed"]
+
+
+def stripe_line(n, period):
+    return np.where((np.arange(n) % period) < period // 2, 1.0, -1.0)
+
+
+def branching_stripes_oracle(spec, levels, base_period):
+    """The branching-stripes field band by band, each band a +-1 line along
+    axis 0 broadcast over the grid."""
+    vert = np.arange(spec.n) / spec.n
+    out = np.zeros(spec.shape)
+    for ell in range(levels):
+        line = stripe_line(spec.n, max(2, int(round(base_period / 2**ell))))
+        lo = 1.0 - 2.0 ** (-ell)
+        hi = 1.0 - 2.0 ** (-(ell + 1)) if ell < levels - 1 else 1.0 + 1e-9
+        shape = [1] * spec.d
+        shape[0] = spec.n
+        band = np.broadcast_to(line.reshape(shape), spec.shape)
+        sel = [slice(None)] * spec.d
+        sel[-1] = (vert >= lo) & (vert < hi)
+        out[tuple(sel)] = band[tuple(sel)]
+    return out.ravel()
+
+
+def branching_slab_oracle(spec, slices, levels, base_period):
+    """The slab slice by slice, each slice a +-1 line broadcast as line[:, None]."""
+    vals = np.zeros((slices, spec.size))
+    for j in range(slices):
+        depth = 1.0 - abs(-1.0 + (j + 0.5) * 2.0 / slices)
+        level = min(levels - 1, max(0, int(np.floor(-np.log2(max(depth, 1e-9))))))
+        line = stripe_line(spec.n, max(2, int(round(base_period / 2**level))))
+        vals[j] = np.broadcast_to(line[:, None], spec.shape).ravel()
+    return vals
+
+
+# base periods whose halvings round: 12 / 8 = 1.5, 10 / 4 = 2.5, 7 / 2 = 3.5, 9 / 2 = 4.5
+@pytest.mark.parametrize("d,n", [(2, 16), (2, 33), (3, 9), (3, 12)])
+def test_stripe_fields_bit_equal_to_per_line_construction(d, n):
+    spec = GridSpec(d, n, 1.0)
+    for levels, base_period in itertools.product(range(1, 6), (7, 9, 10, 12, 32)):
+        fs = FamilySpec(spec, "branching-stripes", {"levels": levels, "base_period": base_period}, 0)
+        assert np.array_equal(generate(fs).values, branching_stripes_oracle(spec, levels, base_period))
+        for slices in (3, 64):  # 64 slices reach every level up to 5
+            fld = branching_slab(spec, slices=slices, levels=levels, base_period=base_period)
+            assert np.array_equal(fld.values, branching_slab_oracle(spec, slices, levels, base_period))
 
 
 def test_branching_chain_period_halving():

@@ -11,8 +11,8 @@ from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, dilate, make, shift, tile
 from ineqlab.transport import (
     DiscreteMeasure,
+    TransportPlan,
     duality_gap,
-    export_plan,
     uniform_measure,
     w2_circle_1d,
     w2_squared,
@@ -121,6 +121,12 @@ def test_duality_gap_certificate():
     assert duality_gap(res.plan, res.duals, u, v) == pytest.approx(res.gap, abs=1e-12)
     assert res.duals.feasibility_slack >= -1e-9
     assert res.marginal_residual <= 1e-9 * u.total
+    # a plan that moves mass from or to the wrong cell fails the marginal checks
+    for col, side in ((0, "row"), (1, "column")):
+        entries = res.plan.entries.copy()
+        entries[0, col] = (entries[0, col] + 1) % spec.size
+        with pytest.raises(ValueError, match=f"plan {side} marginals do not match"):
+            duality_gap(TransportPlan(entries, res.plan.cost), res.duals, u, v)
 
 
 def test_zero_measures_gap():
@@ -459,17 +465,3 @@ def test_log_domain_redo_only_where_scalings_leave_range(monkeypatch):
     w2_squared(u, v, method="sinkhorn")
     w2_squared(u, v, support_cap=spec.size**2)
     assert not calls
-
-
-def test_plan_export(tmp_path):
-    spec = GridSpec(1, 4, 1.0)
-    u = measure(spec, [0.5, 0, 0, 0])
-    v = measure(spec, [0, 0.25, 0, 0.25])
-    res = w2_squared(u, v)
-    p = tmp_path / "plan.csv"
-    export_plan(res, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "src_index,dst_index,mass"
-    assert lines[-1].startswith("# {")
-    rows = [ln.split(",") for ln in lines[1:-1]]
-    assert {(r[0], r[1]) for r in rows} == {("0", "1"), ("0", "3")}

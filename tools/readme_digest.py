@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every README CLI line plus one `check` per inequality id (gn at
 q = 4 and q = 2), one `trace` per trace id (layer-cake in 2D and 3D), a
-Sinkhorn prop3 check, a prop3, a frozen prop2 and a frozen geomest
-calibration, the superconductor chain, and prop3, prop5 and prop4 checks
+Sinkhorn prop3 check, a prop3 check at a given threshold, a prop3, a gn,
+a frozen prop2 and a frozen geomest calibration, a gn sweep, the
+superconductor chain, and prop3, prop5 and prop4 checks
 and prop3 and prop5 traces at d = 1 or 3, and a two-parameter prop3
 `extremize` in a fresh directory, and print the exit code of each command
 and a sha256 per output file.
@@ -61,6 +62,11 @@ EXTRA = [
     "check --id prop5 --family ball-lattice --params phi=0.05,n_balls=2 --d 1 --n 64 --phi 0.02 --nu 0.05 "
     "--seeds 0..2 --out chk-prop5-1d",
     "check --id prop4 --family single-bump --params radius=0.3 --d 1 --n 32 --out chk-prop4-1d",
+    # the check options routed through the CLI's settings table
+    "check --id prop3 --family ball-lattice --params phi=0.2,mean=1 --d 2 --n 16 --threshold 0.9 "
+    f"{BIG_CAP} --out chk-prop3-thr",
+    "calibrate --id gn --q 4 --family random-steps --d 1 --n 32 --seeds 0..3 --out cal-gn",
+    "sweep --id gn --q 1 --family random-steps --d 2 --n 32 --seeds 0..2 --out sw-gn",
     "trace --id prop3 --family ball-lattice --params phi=0.1,n_balls=1,mean=1 --d 3 --n 12 --eps 0.6 "
     f"{BIG_CAP} --out tr-prop3-3d",
     "trace --id prop5 --family ball-lattice --params phi=0.05,n_balls=2 --d 1 --n 64 --phi 0.02 --nu 0.05 "
