@@ -119,7 +119,7 @@ def _w2_kw(cfg):
 
 
 # option -> (keyword, parser) of the library settings it sets; a setting the
-# user leaves out keeps the library function's own default
+# user leaves out or leaves empty keeps the library function's own default
 _SETTINGS = {"M": ("M", _fnum), "eps": ("eps", _fnum), "mu-count": ("mu_count", int), "phi": ("phi", _fnum),
              "q": ("q", _fnum), "nu": ("nu", _fnum), "threshold": ("c_thr", _fnum)}
 
@@ -128,7 +128,7 @@ def _settings(cfg, fn):
     """The settings the user gave that fn takes, plus its w2_kw if it takes one;
     options fn does not take are ignored."""
     takes = inspect.signature(fn).parameters
-    kw = {name: parse(cfg[opt]) for opt, (name, parse) in _SETTINGS.items() if opt in cfg and name in takes}
+    kw = {name: parse(cfg[opt]) for opt, (name, parse) in _SETTINGS.items() if cfg.get(opt) and name in takes}
     if "w2_kw" in takes:
         kw["w2_kw"] = _w2_kw(cfg)
     return kw

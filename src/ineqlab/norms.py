@@ -91,24 +91,28 @@ def _level_sums(u):
     {|u| > t}, {u > t} and {u < -t} do not change: the measure of the
     first, which is {|u| >= levels[i+1]}, the integral of |u| over it, and
     the numbers of grid edges across which the other two jump.  The tails
-    are suffix sums over the sorted |u|.  An edge with endpoint values
+    come from _level_tails with suffix sums.  An edge with endpoint values
     a < b jumps in {u > t} exactly for the gaps with a < levels[i+1] <= b,
-    a run of consecutive gaps ending at the level index of b; the sort fixes
-    each cell's level index, and difference arrays and cumsum count all runs
-    at once, so the cost is O(N log N) for any number of levels.
+    a run of consecutive gaps ending at the level index of b; difference
+    arrays and cumsum count all runs at once, so the cost is O(N log N) for
+    any number of levels.  The level index of a cell is a binary search over
+    the levels if they average over 8 cells each, else it is read off an
+    argsort of |u|, which long runs of equal values slow.
     """
-    mags = np.abs(u.values)
-    order = np.argsort(mags)
-    a = mags[order]
-    new = np.diff(a, prepend=0.0) != 0  # the first occurrence of each level, as in _level_tails
-    first = np.flatnonzero(new)
+    a, first = _level_tails(u)
     top = a[first]
     levels, gaps = np.concatenate([[0.0], top]), top.size
     tail_meas = (a.size - first) * u.spec.cell_volume
     tail_int = np.cumsum(a[::-1])[::-1][first] * u.spec.cell_volume
 
-    rank = np.empty(a.size, dtype=np.intp)
-    rank[order] = np.cumsum(new)  # the number of levels <= |u| at each cell
+    mags = np.abs(u.values)
+    if 8 * gaps < a.size:  # rank: the number of levels <= |u| in each cell
+        rank = np.searchsorted(top, mags, side="right")
+    else:
+        steps = np.zeros(a.size, dtype=np.intp)
+        steps[first] = 1
+        rank = np.empty(a.size, dtype=np.intp)
+        rank[np.argsort(mags)] = np.cumsum(steps)
     arr, rank = u.as_nd(), rank.reshape(u.spec.shape)
     up = np.where(arr > 0, rank, 0)  # the gaps i with levels[i + 1] <= value
     down = np.where(arr < 0, rank, 0)

@@ -332,6 +332,16 @@ def test_trace_ignores_options_the_trace_does_not_take(tmp_path):
     assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
 
 
+def test_empty_setting_keeps_the_library_default(tmp_path):
+    check = ["check", "--id", "prop3", "--family", "ball-lattice", "--params", "phi=0.2,mean=1",
+             "--d", "2", "--n", "16", "--support-cap", "4194304"]
+    trace = ["trace", "--id", "layer-cake", "--family", "random-steps", "--params", "scale=64",
+             "--d", "2", "--n", "16", "--seed", "1"]
+    for args, empty, csv in ((check, "--threshold", "report.csv"), (trace, "--M", "trace.csv")):
+        assert run(args + ["--out", str(tmp_path / "a")]) == run(args + [empty, "", "--out", str(tmp_path / "b")])
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+
+
 def test_prop5_trace_without_nu_is_a_usage_error(tmp_path, capsys):
     code = run(["trace", "--id", "prop5", "--family", "ball-lattice", "--params", "phi=0.1,n_balls=2",
                 "--d", "2", "--n", "16", "--phi", "0.03", "--out", str(tmp_path / "tr")])

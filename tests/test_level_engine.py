@@ -161,12 +161,16 @@ def test_level_sums_bit_equal_to_searchsorted(u):
     assert_level_sums_equal(u)
 
 
-@pytest.mark.parametrize("d,n,seed", [(1, 64, 0), (2, 48, 1), (3, 12, 2)])
-def test_level_sums_bit_equal_on_many_levels(d, n, seed):
-    # every cell its own level, with a third of the cells set to zero or to a repeated negative value
-    raw = generate(FamilySpec(GridSpec(d, n, 1.0), "random-fourier", {"kmax": 4}, seed)).values.copy()
+@pytest.mark.parametrize("family,params,few", [("random-fourier", {"kmax": 4}, False),
+                                               ("random-steps", {"blocks": 4}, True)])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 48), (3, 12)])
+def test_level_sums_bit_equal_on_both_index_paths(family, params, few, d, n):
+    # many levels (each cell its own) or a few over many cells each, with a third of the
+    # cells set to zero or to a repeated negative value
+    raw = generate(FamilySpec(GridSpec(d, n, 1.0), family, params, d - 1)).values.copy()
     raw[::3] = 0.0
     raw[1::7] = -raw[1]
+    assert (8 * np.unique(np.abs(raw)).size < raw.size) == few  # the path _level_sums takes
     assert_level_sums_equal(make(GridSpec(d, n, 1.0), raw))
 
 
