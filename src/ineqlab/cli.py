@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fixtures
 from .families import FamilySpec, generate
-from .grid import GridSpec, load_grid, save_grid
+from .grid import GridSpec, load_grid, require, save_grid
 from .inequalities import calibrate, check, check_family, extremize, prop5_pair
 from .levelgeom import verify_geom_claims
 from .norms import _has_mean_zero, norm_report, spectral_norms
@@ -99,6 +99,7 @@ def _seeds_from_cfg(cfg):
             out.extend(range(int(lo), int(hi) + 1))
         else:
             out.append(int(part))
+    require(out, f"seeds {text!r} name no seed")
     return out
 
 

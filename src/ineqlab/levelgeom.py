@@ -18,8 +18,6 @@ from .grid import (GridFunction, GridSpec, gap2, is_binary, nearest_distance, of
                    wavenumber2, wavenumbers)
 from .norms import _level_sums, tv_norm
 
-CERT_CHUNK = 1 << 13  # entries per gather of the packing certificate
-
 
 def level_indicator(u, mu):
     """Signed indicator: +1 where u > mu, -1 where u < -mu, 0 otherwise."""
@@ -142,9 +140,8 @@ def coarea_check(u):
 @dataclass(frozen=True)
 class BallCover:
     spec: GridSpec
-    centers: np.ndarray = field(repr=False)  # (N, d) integer cell indices
+    centers: np.ndarray = field(repr=False)  # (N, d) integer cell indices, pairwise >= radius apart
     radius: float
-    min_center_distance: float  # separation certificate (>= R up to grid)
 
     @property
     def count(self):
@@ -176,45 +173,6 @@ def _axis_window(n, g, c, reach):
     return delta, g[np.abs(delta)]
 
 
-def _closest_pair_d2(spec, g, centers, is_center, r):
-    """Smallest squared torus distance between two centers (inf below two),
-    given as cell indices and as a mask of the grid.
-
-    A pair outside a center's [-r, r]^d box is r + 1 cells apart on some
-    axis, so the box minimum is exact once below ((r + 1/2) h)^2; r doubles
-    until the box wraps the torus or holds as many cells as there are
-    centers, and then every pair is compared, CERT_CHUNK entries at a time.
-    The boxes are looked up in the mask first, and d^2 is summed only at the
-    centers they hold, as g[|a_0 - b_0|] + g[|a_1 - b_1|] + ... from the raw
-    index differences, as in the scan.
-    """
-    m, n, d = len(centers), spec.n, spec.d
-    while 2 * r + 1 < n and (2 * r + 1) ** d < m:
-        # box offsets into the mask padded by r cells of its own wrap, so no
-        # index wraps; the offsets after 0 in row-major order: each pair once
-        side = 2 * r + 1
-        pad = np.pad(is_center.reshape(spec.shape), r, mode="wrap").ravel()
-        box = np.stack(np.unravel_index(np.arange(side**d // 2 + 1, side**d), (side,) * d)) - r
-        strides = (n + 2 * r) ** np.arange(d - 1, -1, -1)
-        off, base = strides @ box, (centers + r) @ strides
-        # flat indices of the hits in the (center, offset) table, CERT_CHUNK entries at a time
-        size = off.size
-        step = max(1, CERT_CHUNK // size)
-        hit = np.concatenate([lo * size + np.flatnonzero(pad[base[lo : lo + step, None] + off])
-                              for lo in range(0, m, step)])
-        a, col = centers[hit // size], hit % size
-        best = sum(g[np.abs((a[:, ax] + box[ax, col]) % n - a[:, ax])] for ax in range(d)).min(initial=np.inf)
-        if best < ((r + 0.5) * spec.h) ** 2:
-            return best
-        r *= 2
-    best, step = np.inf, max(1, CERT_CHUNK // max(m, 1))
-    for lo in range(0, m, step):
-        d2 = sum(g[np.abs(centers[lo : lo + step, None, ax] - centers[:, ax])] for ax in range(d))
-        d2[np.arange(len(d2)), np.arange(lo, lo + len(d2))] = np.inf  # a center and itself
-        best = min(best, d2.min())
-    return best
-
-
 def maximal_packing(mask, radius, spec):
     """Greedy lexicographic maximal packing of the density set.
 
@@ -227,7 +185,7 @@ def maximal_packing(mask, radius, spec):
     (per axis the coordinate, or -1 when the +-reach window does not wrap).
     Each d^2 is summed from g = gap2(spec) by raw index differences, so each
     d^2 < R^2 decision, ties included, is that of a brute-force scan, and the
-    separation certificate is the exact closest pair (`_closest_pair_d2`).
+    centers are R-separated by construction.
     """
     flat = np.asarray(mask).ravel()
     require(flat.size == spec.size, f"mask has {flat.size} cells, the grid {spec.size}")
@@ -237,7 +195,7 @@ def maximal_packing(mask, radius, spec):
     np.not_equal(flat, 0, out=view)
     i = alive.find(1)
     if i < 0:
-        return BallCover(spec, np.zeros((0, spec.d), dtype=np.intp), float(radius), np.inf)
+        return BallCover(spec, np.zeros((0, spec.d), dtype=np.intp), float(radius))
     g, n, reach = gap2(spec), spec.n, int(radius / spec.h) + 1
     edge = [c if c < reach or c >= n - reach else -1 for c in range(n)]
     strides = [n ** (spec.d - 1 - ax) for ax in range(spec.d)]
@@ -253,10 +211,8 @@ def maximal_packing(mask, radius, spec):
         found.append(i)
         i = alive.find(1, i + 1)
     found = np.array(found, dtype=np.intp)
-    view[found] = True  # every cell is dead now, so the buffer marks the centers
     centers = np.stack(np.unravel_index(found, spec.shape), axis=-1)
-    dmin = float(np.sqrt(_closest_pair_d2(spec, g, centers, view, reach)))
-    return BallCover(spec, centers, float(radius), dmin)
+    return BallCover(spec, centers, float(radius))
 
 
 def capacity_potential(cover, radius, outer):
@@ -374,7 +330,7 @@ def verify_geom_claims(chi, radius, outer):
     claim5_lhs = float(np.sum(np.maximum(neg.values, 0.0)) * spec.cell_volume)
 
     # per-center capacity mass on a fresh single-center potential (0 without centers)
-    phi1 = capacity_potential(BallCover(spec, cover.centers[:1], radius, np.inf), radius, outer)
+    phi1 = capacity_potential(BallCover(spec, cover.centers[:1], radius), radius, outer)
     cap1 = float(np.sum(np.maximum(neg_laplacian(phi1).values, 0.0)) * spec.cell_volume)
 
     band = fixtures.band

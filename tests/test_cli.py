@@ -356,6 +356,26 @@ def test_calibrate_gn_without_q_is_a_usage_error(tmp_path, capsys):
     assert "gn needs the gradient exponent q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["trace", "--id", "prop2", "--family", "ostwald", "--n", "16"],
+        ["cover", "--family", "ball-lattice", "--n", "64", "--R", "1/16", "--L", "1/4"],
+        ["norms", "--kind", "tv", "--family", "random-steps", "--n", "16"],
+        ["scaling", "--functional", "tv", "--family", "random-steps", "--n", "16"],
+        ["extremize", "--id", "prop1", "--family", "stripe", "--d", "1", "--n", "64", "--budget", "4"],
+        ["check", "--id", "prop1", "--family", "random-steps", "--n", "16"],
+        ["sweep", "--id", "prop1", "--family", "random-steps", "--n", "16"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_empty_seed_range_is_a_usage_error(args, tmp_path, capsys):
+    assert run(args + ["--seeds", "3..1", "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seeds '3..1' name no seed\n"
+    assert not (tmp_path / "e" / "report.csv").exists()
+
+
 def test_superconductor_chain_command(tmp_path):
     out = tmp_path / "sc1"
     code = run(["scaling", "--functional", "superconductor-chain", "--family", "ball-lattice",

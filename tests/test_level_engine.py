@@ -245,7 +245,7 @@ def assert_same_packing(mask, radius, spec):
     assert cover.centers.shape == centers.shape
     assert cover.count == len(centers)
     assert covered  # maximal: every mask cell within R (1 + 1e-12) of a center
-    assert cover.min_center_distance == dmin
+    assert dmin >= radius * (1 - 1e-12)  # separated: no two centers closer than R
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,8 +259,7 @@ def assert_same_packing(mask, radius, spec):
 )
 def test_packing_identical_to_brute_force(d, data, lam, r_cells, density, seed):
     # integer r_cells makes R an exact multiple of h (ties at d^2 = R^2);
-    # small n makes _axis_window span the whole axis, which sends the
-    # certificate to its all-pairs pass
+    # small n makes _axis_window span the whole axis
     n = data.draw(st.integers(*{1: (3, 80), 2: (3, 24), 3: (3, 9)}[d]))
     spec = GridSpec(d, n, lam)
     mask = np.random.default_rng(seed).random(spec.size) < density
@@ -278,17 +277,17 @@ def test_packing_empty_and_single_cell(d, n):
 
 def test_packing_slab_and_fallback_certificates():
     spec = GridSpec(2, 64, 1.0)
-    # a full disc packs centers within the slab reach of each other
+    # a full disc packs centers within the stencil reach of each other
     yy, xx = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
     disc = ((yy - 30) ** 2 + (xx - 20) ** 2 <= 15**2).ravel()
     assert_same_packing(disc, 3 * spec.h, spec)
-    # isolated cells farther apart than the reach need the all-pairs scan,
-    # including a pair that is close only across the wrap of the first axis
+    # isolated cells farther apart than the stencil reach, including a pair
+    # that is close only across the wrap of the first axis
     mask = np.zeros(spec.size, dtype=bool)
     mask[np.ravel_multi_index(([0, 63, 30], [5, 12, 40]), spec.shape)] = True
     assert_same_packing(mask, 3 * spec.h, spec)
     cover = maximal_packing(mask, 3 * spec.h, spec=spec)
-    assert cover.min_center_distance == pytest.approx(np.hypot(1, 7) * spec.h)
+    assert closest_pair_oracle(spec, cover.centers) == pytest.approx(np.hypot(1, 7) * spec.h)
 
 
 def test_packing_dense_random_mask():
@@ -336,9 +335,9 @@ def test_packing_on_32_cubed_at_two_cells():
     assert_same_packing(mask, 2 * spec.h, spec)
 
 
-def test_packing_certificate_widens_its_box():
-    # isolated cells 5-7 cells apart, R = 2 h: no pair lies in the first box
-    # (+-3 cells), so the certificate doubles it before it finds the closest pair
+def test_packing_separation_of_isolated_cells():
+    # isolated cells 5-7 cells apart, R = 2 h: every cell is a center, and no
+    # pair lies within the stencil reach (+-3 cells) of the other
     spec = GridSpec(2, 128, 1.0)
     rng = np.random.default_rng(3)
     grid = np.arange(0, 125, 6)
@@ -347,7 +346,7 @@ def test_packing_certificate_widens_its_box():
     mask = np.zeros(spec.size, dtype=bool)
     mask[np.ravel_multi_index((rows.ravel(), cols.ravel()), spec.shape)] = True
     assert_same_packing(mask, 2 * spec.h, spec)
-    assert maximal_packing(mask, 2 * spec.h, spec=spec).min_center_distance >= 5 * spec.h
+    assert closest_pair_oracle(spec, maximal_packing(mask, 2 * spec.h, spec=spec).centers) >= 5 * spec.h
 
 
 def closest_pair_oracle(spec, centers):
@@ -361,7 +360,7 @@ def closest_pair_oracle(spec, centers):
 @pytest.mark.parametrize(
     "d,n,density,r_cells,seed",
     [
-        (3, 32, 0.5, 2.0, 0),  # 2933 centers in 7^3-cell boxes
+        (3, 32, 0.5, 2.0, 0),  # 2933 centers
         (3, 20, 0.2, 1.5, 1),
         (3, 24, 0.05, 2.0, 2),
         (2, 80, 0.45, 2.0, 3),
@@ -369,16 +368,16 @@ def closest_pair_oracle(spec, centers):
         (2, 256, 0.3, 3.0, 5),
     ],
 )
-def test_packing_certificate_equals_all_pairs(d, n, density, r_cells, seed):
+def test_packing_separation_against_all_pairs(d, n, density, r_cells, seed):
     spec = GridSpec(d, n, 1.0)
     radius = r_cells * spec.h
     mask = np.random.default_rng(seed).random(spec.size) < density
     cover = maximal_packing(mask, radius, spec=spec)
-    assert cover.count > (2 * (int(radius / spec.h) + 1) + 1) ** d  # the box branch runs
-    assert cover.min_center_distance == closest_pair_oracle(spec, cover.centers)
+    assert cover.count > (2 * (int(radius / spec.h) + 1) + 1) ** d  # more centers than one stencil box holds
+    assert closest_pair_oracle(spec, cover.centers) >= radius * (1 - 1e-12)
 
 
-def test_packing_certificate_at_three_cells_on_80_cells():
+def test_packing_separation_at_three_cells_on_80_cells():
     # the radius 3.0 / n is a hair below 3 h at n = 80, and the closest pairs sit at exactly 3 h
     spec = GridSpec(2, 80, 1.0)
     radius = 3.0 / spec.n
@@ -386,9 +385,9 @@ def test_packing_certificate_at_three_cells_on_80_cells():
         mask = np.random.default_rng(seed).random(spec.size) < 0.3 + 0.2 * seed
         cover = maximal_packing(mask, radius, spec=spec)
         assert cover.count > 7**2
-        assert cover.min_center_distance == closest_pair_oracle(spec, cover.centers)
+        assert closest_pair_oracle(spec, cover.centers) >= radius * (1 - 1e-12)
     cover = maximal_packing(_lattice_density(spec, radius), radius, spec=spec)
-    assert cover.min_center_distance == closest_pair_oracle(spec, cover.centers)
+    assert closest_pair_oracle(spec, cover.centers) >= radius * (1 - 1e-12)
 
 
 def test_packing_rejects_foreign_masks_and_radii():

@@ -6,6 +6,7 @@ import pytest
 
 from ineqlab.families import FamilySpec, generate
 from ineqlab.grid import GridSpec, make
+from ineqlab.norms import tv_norm
 from ineqlab.scaling import (
     SlabField,
     branching_chain,
@@ -220,6 +221,33 @@ def test_superconductor_continuity_on_shift_flows_both_ways(cells):
     out = superconductor_chain(fld, chi.mean, nu=0.5, w2_kw={"support_cap": 1 << 16})
     assert max(out["continuity_residuals"]) <= 1e-12
     assert np.count_nonzero(fld.bprime) > 0
+    assert out["passed"]
+
+
+def test_superconductor_chain_fails_a_flux_that_breaks_continuity():
+    # the negated flux carries each slice away from the next one: the
+    # transport rows still hold, but the continuity residual does not vanish
+    spec = GridSpec(2, 16, 1.0)
+    chi = generate(FamilySpec(spec, "ball-lattice", {"phi": 0.1, "n_balls": 1}, 0))
+    fld = shift_flow_slab(chi, (2 * spec.h, 0.0), slices=8)
+    reversed_flux = SlabField(spec, fld.values, -fld.bprime)
+    out = superconductor_chain(reversed_flux, chi.mean, nu=0.5, w2_kw={"support_cap": 1 << 16})
+    assert max(out["continuity_residuals"]) == pytest.approx(0.375)
+    assert all(r.holds() for r in out["rows"] if r.step.startswith("bb-"))
+    assert not out["passed"]
+
+
+def test_superconductor_chain_takes_each_slice_tv_once(monkeypatch):
+    import ineqlab.scaling as scaling
+
+    calls = []
+    monkeypatch.setattr(scaling, "tv_norm", lambda u: calls.append(1) or tv_norm(u))
+    spec = GridSpec(2, 16, 1.0)
+    chi = generate(FamilySpec(spec, "ball-lattice", {"phi": 0.1, "n_balls": 1}, 0))
+    fld = shift_flow_slab(chi, (2 * spec.h, 0.0), slices=8)
+    out = superconductor_chain(fld, chi.mean, nu=0.5, w2_kw={"support_cap": 1 << 16})
+    assert any(r.step == "regime3-slice" for r in out["rows"])  # the step that reads the TVs again
+    assert len(calls) == fld.slices
 
 
 @pytest.mark.parametrize("rel", [5e-10, 2e-9])

@@ -206,7 +206,7 @@ def test_potentials_bit_equal_to_rolled_profiles(d, data, lam, r_cells, density,
 
 def test_potentials_without_centers_vanish():
     spec = GridSpec(2, 16, 1.0)
-    empty = BallCover(spec, np.zeros((0, 2), dtype=int), 0.1, np.inf)
+    empty = BallCover(spec, np.zeros((0, 2), dtype=int), 0.1)
     assert not capacity_potential(empty, 0.1, 0.3).values.any()
     assert not indicator_potential(empty, 0.1).values.any()
 
