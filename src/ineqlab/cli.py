@@ -95,11 +95,11 @@ def _seeds_from_cfg(cfg):
     out = []
     for part in str(text).split(","):
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split(".."))
+            require(lo <= hi, f"seeds {part!r} name no seed")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
-    require(out, f"seeds {text!r} name no seed")
     return out
 
 

@@ -168,21 +168,38 @@ def _smallest_per_line(red, k, axis):
     return mask
 
 
+def _priced_cells(red, k):
+    """Cells of reduced cost below -LP_TOL among the k smallest of their row
+    or column.
+
+    Only the lines that hold such a violation are partitioned, each over
+    its full length, so the cells chosen are those of a full-matrix pass.
+    """
+    viol = red < -LP_TOL
+    rows, cols = np.flatnonzero(viol.any(axis=1)), np.flatnonzero(viol.any(axis=0))
+    pick = np.zeros(red.shape, dtype=bool)
+    pick[rows] = _smallest_per_line(red[rows], k, 1)
+    pick[:, cols] |= _smallest_per_line(red[:, cols], k, 0)
+    return pick & viol
+
+
 def _shortlist(cost, a, b):
-    """Cells among the k smallest seeded reduced costs of their row or column.
+    """Cells among the k smallest seeded reduced costs of their row or
+    column, and the reduced costs: (mask, cost - f - g).
 
     k is SHORTLIST_K, raised so that about SHORTLIST_MIN cells are listed:
     below that size the LP's fixed cost dominates, and a shorter list
     saves nothing but risks further pricing rounds.  When k reaches the
-    shorter side every cell is listed and no seed is needed.
+    shorter side every cell is listed and no seed is needed; the reduced
+    costs are then the costs.
     """
     m, n = cost.shape
     k = max(SHORTLIST_K, -(-SHORTLIST_MIN // (m + n)))
     if k >= min(m, n):
-        return np.ones((m, n), dtype=bool)
+        return np.ones((m, n), dtype=bool), cost
     f, g = _sinkhorn_potentials(cost, a, b, SEED_EPS, SEED_SWEEPS)
     red = cost - f[:, None] - g[None, :]
-    return _smallest_per_line(red, k, 1) | _smallest_per_line(red, k, 0)
+    return _smallest_per_line(red, k, 1) | _smallest_per_line(red, k, 0), red
 
 
 def _scipy_extension(name):
@@ -231,29 +248,109 @@ def _highs_options():
     return opts
 
 
-def _restricted_lp(cost, a, b, rows, cols):
-    """Transportation LP on the listed cells: (plan values, phi, psi).
+def _tree_basis(red, rows, cols, m, n):
+    """A spanning-forest start basis on the listed cells (rows, cols) with
+    reduced costs red: (basic cells, basic row logicals).
+
+    Each target's least reduced-cost cell joins it to a source, which
+    gives stars around the sources.  Kruskal over the other cells, in
+    increasing reduced cost, joins the stars: a union-find on sources,
+    where a target belongs to its star's component.  Each component left
+    gets one basic row logical (one in all when the cells connect every
+    row and column), so the basis is square and nonsingular: per
+    component a tree of cells plus one unit column.
+    """
+    k = rows.size
+    order = np.argsort(red)
+    # each target's star cell: the first of its cells in increasing reduced cost
+    rank = np.empty(k, dtype=np.intp)
+    rank[order] = np.arange(k)
+    first = np.full(n, k)
+    np.minimum.at(first, cols, rank)
+    stars = order[first[first < k]]
+    basic = np.zeros(k, dtype=bool)
+    basic[stars] = True
+    owner = np.full(n, -1)
+    owner[cols[stars]] = rows[stars]
+    # the cells that join two stars (a star's own cells have src == dst), by reduced cost
+    src, dst = rows[order], owner[cols[order]]
+    join = src != dst
+    order, src, dst = order[join], src[join], dst[join]
+    parent = list(range(m))  # union-find on sources, with path halving
+    joins = m - 1
+    for c, i, j in zip(order.tolist(), src.tolist(), dst.tolist()):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[i] = j
+            basic[c] = True
+            joins -= 1
+            if not joins:
+                break
+    # a logical at each component's root source, and at each target without cells
+    return basic, np.concatenate([np.asarray(parent) == np.arange(m), owner < 0])
+
+
+def _cell_columns(rows, cols, m):
+    """The cells' LP columns, colwise (starts, row indices, values): a 1 in
+    the source row and a 1 in the target row of each."""
+    k = rows.size
+    index = np.column_stack([rows, m + cols]).ravel().astype(np.int32)
+    return np.arange(0, 2 * k, 2, dtype=np.int32), index, np.ones(2 * k)
+
+
+def _restricted_lp(cost, a, b, rows, cols, red):
+    """Transportation LP on the listed cells, started from their tree
+    basis (`_tree_basis` of the reduced costs red): (HiGHS instance, plan
+    values, phi, psi).
 
     HiGHS from scipy's compiled optimize._highspy._core (the binary
     linprog(method="highs") calls, loaded without scipy.optimize), with
-    linprog's options and the dual simplex path, so results match it to
-    the bit; one column per cell, a 1 in its source and target rows.
+    linprog's options and the dual simplex path; one column per cell
+    (`_cell_columns`).  The instance is kept for `_add_cells`.
     """
     hs = _scipy_extension("optimize._highspy._core")
     m, k = a.size, rows.size
-    lp = hs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = k
-    lp.num_row_ = lp.a_matrix_.num_row_ = m + b.size
-    lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.arange(0, 2 * k + 1, 2, dtype=np.int32)
-    lp.a_matrix_.index_ = np.column_stack([rows, m + cols]).ravel().astype(np.int32)
-    lp.a_matrix_.value_ = np.ones(2 * k)
-    lp.col_cost_ = cost[rows, cols]
-    lp.col_lower_, lp.col_upper_ = np.zeros(k), np.full(k, hs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b])
+    rhs = np.concatenate([a, b])
     highs = hs._Highs()
     highs.passOptions(_highs_options())
-    failed = hs.HighsStatus.kError in (highs.passModel(lp), highs.run())
+    status = highs.passModel(
+        k, rhs.size, 2 * k, int(hs.MatrixFormat.kColwise), int(hs.ObjSense.kMinimize), 0.0,
+        cost[rows, cols], np.zeros(k), np.full(k, hs.kHighsInf), rhs, rhs,
+        *_cell_columns(rows, cols, m), np.zeros(k, dtype=np.int32),
+    )
+    basic, basic_rows = _tree_basis(red, rows, cols, m, b.size)
+    codes = [hs.HighsBasisStatus.kLower, hs.HighsBasisStatus.kBasic]
+    basis = hs.HighsBasis()
+    basis.col_status = [codes[s] for s in basic.tolist()]
+    basis.row_status = [codes[s] for s in basic_rows.tolist()]
+    basis.alien = False  # square and nonsingular: HiGHS need not repair it
+    if status == hs.HighsStatus.kError or highs.setBasis(basis) == hs.HighsStatus.kError:
+        raise RuntimeError("exact transport solve failed: HiGHS rejected the model or its start basis")
+    return (highs, *_run_lp(highs, m))
+
+
+def _add_cells(highs, cost, m, rows, cols):
+    """Add the cells (rows, cols) as columns and resume from the last
+    optimal basis: (plan values over every column, phi, psi).
+
+    The old basis stays primal feasible (the new columns enter at 0), so
+    HiGHS resumes by primal simplex.
+    """
+    hs = _scipy_extension("optimize._highspy._core")
+    k = rows.size
+    highs.addCols(k, cost[rows, cols], np.zeros(k), np.full(k, hs.kHighsInf), 2 * k, *_cell_columns(rows, cols, m))
+    highs.setOptionValue("simplex_strategy", int(hs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal))
+    return _run_lp(highs, m)
+
+
+def _run_lp(highs, m):
+    """Run HiGHS from its current basis: (plan values, phi, psi), or raise
+    unless the LP is solved to optimality."""
+    hs = _scipy_extension("optimize._highspy._core")
+    failed = highs.run() == hs.HighsStatus.kError
     status = highs.getModelStatus()
     if failed or status != hs.HighsModelStatus.kOptimal:
         raise RuntimeError(f"exact transport solve failed: {highs.modelStatusToString(status)}")
@@ -269,9 +366,12 @@ def _solve_exact(u, v, support_cap):
     tolerances are absolute), on a candidate set of cells: the k smallest
     reduced costs of every row and column under coarse Sinkhorn
     potentials, plus a north-west-corner plan so the restricted LP is
-    always feasible.  Reduced costs over every pair are then priced and
-    the most negative ones added until none is below -LP_TOL, which
-    certifies the restricted optimum for the full problem.
+    always feasible.  HiGHS starts from a spanning tree of the listed
+    cells of least seeded reduced cost (`_tree_basis`).  Reduced costs
+    over every pair are then priced and the most negative ones added, as
+    new columns of the same HiGHS instance resumed from its last optimal
+    basis, until none is below -LP_TOL, which certifies the restricted
+    optimum for the full problem.
     """
     si, ti = u.support(), v.support()
     m, n = si.size, ti.size
@@ -285,18 +385,23 @@ def _solve_exact(u, v, support_cap):
     mass, cscale = a.sum(), float(cost.max()) or 1.0
     an, bn, cn = a / mass, b / b.sum(), cost / cscale
 
-    sel = _shortlist(cn, an, bn)
+    sel, red = _shortlist(cn, an, bn)
     sel[_northwest_corner(an, bn)] = True
+    rows, cols = np.nonzero(sel)
+    seeded = red[rows, cols]
+    del red  # the m x n seed is not kept through the LP solves
+    highs, xn, phi, psi = _restricted_lp(cn, an, bn, rows, cols, seeded)
     while True:
-        rows, cols = np.nonzero(sel)
-        xn, phi, psi = _restricted_lp(cn, an, bn, rows, cols)
         red = cn - phi[:, None] - psi[None, :]
         slack = float(red.min())
         red[sel] = np.inf
         if red.min() >= -LP_TOL:
             break
-        viol = red < -LP_TOL
-        sel |= viol & (_smallest_per_line(red, PRICE_ADD, 1) | _smallest_per_line(red, PRICE_ADD, 0))
+        new = _priced_cells(red, PRICE_ADD)
+        sel |= new
+        r, c = np.nonzero(new)
+        rows, cols = np.concatenate([rows, r]), np.concatenate([cols, c])
+        xn, phi, psi = _add_cells(highs, cn, m, r, c)
 
     phi, psi = phi * cscale, psi * cscale
     x = xn * mass

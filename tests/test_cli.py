@@ -376,6 +376,15 @@ def test_empty_seed_range_is_a_usage_error(args, tmp_path, capsys):
     assert not (tmp_path / "e" / "report.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["check", "sweep"])
+@pytest.mark.parametrize("seeds, part", [("0,3..1", "3..1"), ("0..2,5..4,7", "5..4")])
+def test_reversed_range_in_a_seed_list_is_a_usage_error(command, seeds, part, tmp_path, capsys):
+    args = [command, "--id", "prop1", "--family", "random-steps", "--n", "16"]
+    assert run(args + ["--seeds", seeds, "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err == f"error: seeds {part!r} name no seed\n"
+    assert not (tmp_path / "e" / "report.csv").exists()
+
+
 def test_superconductor_chain_command(tmp_path):
     out = tmp_path / "sc1"
     code = run(["scaling", "--functional", "superconductor-chain", "--family", "ball-lattice",

@@ -74,13 +74,15 @@ def assert_certified(u, v, res, value):
 
     Values agree to 1e-12 relative, or to 1e-12 in the unit-mass, unit-cost
     units the LP is solved in: when W2 is far below mass x max cost, the
-    solver tolerances allow more than 1e-12 relative on either side.
+    solver tolerances allow more than 1e-12 relative on either side.  The
+    gap gets the same absolute allowance: at value 0 (u = v) the dual sum
+    rounds to a few 1e-17 either side of 0.
     """
     si, ti = u.support(), v.support()
     cost = transport._cost_matrix(u.spec, si, ti)
     tol = 1e-12 * u.total * cost.max()
     assert res.value == pytest.approx(value, rel=1e-12, abs=tol)
-    assert abs(res.gap) <= 1e-9 * res.value + 1e-300
+    assert abs(res.gap) <= 1e-9 * res.value + tol
     red = cost - res.duals.phi[:, None] - res.duals.psi[None, :]
     assert red.min() >= -1e-9 * cost.max()
     assert res.duals.feasibility_slack == pytest.approx(red.min(), abs=1e-14 * cost.max())
@@ -95,10 +97,10 @@ def _measure(spec, vals):
 
 
 @st.composite
-def instances(draw):
-    """Small d = 1, 2 pairs with sparse supports, repeated masses and ties."""
-    d = draw(st.sampled_from([1, 2]))
-    n = draw(st.sampled_from([3, 4, 6, 8] if d == 2 else [2, 5, 8, 16, 24]))
+def instances(draw, dims=(1, 2)):
+    """Small pairs with sparse supports, repeated masses and ties."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.sampled_from({1: [2, 5, 8, 16, 24], 2: [3, 4, 6, 8], 3: [2, 3, 4]}[d]))
     spec = GridSpec(d, n, draw(st.sampled_from([1.0, 0.3, 7.0])))
     levels = st.sampled_from([0.0, 0.0, 1.0, 1.0, 0.5, 2.0, 1e-3])
     masses = st.lists(levels, min_size=spec.size, max_size=spec.size)
@@ -131,10 +133,19 @@ _TINY_W2 = _pinned(
      1e-3, 0, 0, 0, 1, 1, 1e-3, 1e-3],
 )
 
+# u = v at value 0: the dual value rounds to -1.4e-17, a gap of 1.4e-17
+_SAME_PAIR = _pinned(
+    1,
+    24,
+    [2, 0, 0, 0, 0, 1, 0, 1, 1, 1e-3, 1, .5, 0, 0, 1, 2, .5, 1, 1, 1, 1e-3, 1e-3, 1e-3, 1],
+    [2, 0, 0, 0, 0, 1, 0, 1, 1, 1e-3, 1, .5, 0, 0, 1, 2, .5, 1, 1, 1, 1e-3, 1e-3, 1e-3, 1],
+)
+
 
 @settings(max_examples=60, deadline=None)
 @given(instances())
 @example(_TINY_W2)
+@example(_SAME_PAIR)
 def test_matches_dense_lp_with_full_certificate(inst):
     spec, a, b = inst
     u, v = _measure(spec, a), _measure(spec, b)
@@ -161,10 +172,11 @@ def test_degenerate_cases(a, b):
 @settings(max_examples=60, deadline=None)
 @given(instances(), st.floats(0.0, 1.0), st.integers(0, 2**16))
 @example(_TINY_W2, 1.0, 0)
-def test_restricted_lp_matches_linprog_bit_for_bit(inst, frac, seed):
-    # the direct HiGHS call against linprog(method="highs") with the same
-    # options, at unit mass and cost on a random cell set that contains a
-    # north-west-corner plan
+def test_restricted_lp_matches_linprog_optimum(inst, frac, seed):
+    # the tree-started HiGHS call against linprog(method="highs") with the
+    # same options, at unit mass and cost on a random cell set that contains
+    # a north-west-corner plan: the same optimal value, and an optimal
+    # vertex of its own (the start basis differs, so the vertex may too)
     spec, a, b = inst
     u, v = _measure(spec, a), _measure(spec, b)
     si, ti = u.support(), v.support()
@@ -174,35 +186,130 @@ def test_restricted_lp_matches_linprog_bit_for_bit(inst, frac, seed):
     sel = np.random.default_rng(seed).random(cost.shape) < frac
     sel[transport._northwest_corner(an, bn)] = True
     rows, cols = np.nonzero(sel)
-    x, phi, psi = transport._restricted_lp(cn, an, bn, rows, cols)
-    x_ref, y_ref = linprog_restricted(cn, an, bn, rows, cols)
-    assert x.tobytes() == x_ref.tobytes()
-    assert np.concatenate([phi, psi]).tobytes() == np.asarray(y_ref).tobytes()
+    _, x, phi, psi = transport._restricted_lp(cn, an, bn, rows, cols, cn[rows, cols])
+    x_ref, _ = linprog_restricted(cn, an, bn, rows, cols)
+    c = cn[rows, cols]
+    assert abs(np.dot(c, x) - np.dot(c, x_ref)) <= 1e-12
+    assert x.min() >= -transport.LP_TOL
+    assert np.abs(np.bincount(rows, x, si.size) - an).max() <= transport.LP_TOL
+    assert np.abs(np.bincount(cols, x, ti.size) - bn).max() <= transport.LP_TOL
+    red = c - phi[rows] - psi[cols]
+    assert red.min() >= -transport.LP_TOL
+    assert np.dot(np.maximum(x, 0), np.abs(red)) <= 1e-12  # complementary slackness
 
 
 def test_restricted_lp_with_an_uncovered_row_fails():
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = b = np.array([0.5, 0.5])
+    rows, cols = np.array([0, 0]), np.array([0, 1])  # source row 1 has no cell
     with pytest.raises(RuntimeError, match="exact transport solve failed: Infeasible"):
-        transport._restricted_lp(cost, a, b, np.array([0, 0]), np.array([0, 1]))  # source row 1 has no cell
+        transport._restricted_lp(cost, a, b, rows, cols, cost[rows, cols])
+
+
+def _components(rows, cols, m, n):
+    """Component label of each of the m + n rows under the cells (rows, cols), by search."""
+    adj = [[] for _ in range(m + n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    label = np.full(m + n, -1)
+    for start in range(m + n):
+        if label[start] < 0:
+            label[start], todo = start, [start]
+            while todo:
+                for w in adj[todo.pop()]:
+                    if label[w] < 0:
+                        label[w] = start
+                        todo.append(w)
+    return label
+
+
+def assert_tree_basis(red, rows, cols, m, n):
+    """A forest of listed cells spanning every component of the list, one
+    basic logical per component, each target's least reduced cost among its
+    basic cells, and a nonsingular basis matrix."""
+    basic, basic_rows = transport._tree_basis(red, rows, cols, m, n)
+    label = _components(rows, cols, m, n)
+    n_comp = np.unique(label).size
+    assert basic.sum() == m + n - n_comp and basic_rows.sum() == n_comp
+    assert np.array_equal(_components(rows[basic], cols[basic], m, n), label)  # the forest spans each component
+    assert np.array_equal(np.sort(label[basic_rows]), np.unique(label))  # one logical per component
+    for j in np.unique(cols):
+        at = cols == j
+        assert red[at & basic].min() == red[at].min()
+    B = np.zeros((m + n, m + n))
+    B[rows[basic], np.arange(basic.sum())] = B[m + cols[basic], np.arange(basic.sum())] = 1
+    B[np.flatnonzero(basic_rows), basic.sum() + np.arange(n_comp)] = 1
+    assert np.linalg.matrix_rank(B) == m + n
+    return basic, basic_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(dims=(1, 2, 3)), st.floats(0.0, 1.0), st.integers(0, 2**16), st.sampled_from(["seeded", "ties"]))
+def test_tree_basis_spans_connected_lists(inst, frac, seed, kind):
+    # a random part of the solver's shortlist, plus the north-west corner and
+    # all of source row 0 so that the list is connected; the seeded reduced
+    # costs, or reduced costs with many ties
+    spec, a, b = inst
+    u, v = _measure(spec, a), _measure(spec, b)
+    si, ti = u.support(), v.support()
+    m, n = si.size, ti.size
+    cost = transport._cost_matrix(spec, si, ti)
+    an, bn = u.masses[si] / u.total, v.masses[ti] / v.total
+    rng = np.random.default_rng(seed)
+    sel, red = transport._shortlist(cost / (float(cost.max()) or 1.0), an, bn)
+    sel = sel & (rng.random(cost.shape) < frac)
+    sel[transport._northwest_corner(an, bn)] = sel[0] = True
+    rows, cols = np.nonzero(sel)
+    red = red[rows, cols] if kind == "seeded" else rng.integers(0, 3, rows.size).astype(float)
+    basic, basic_rows = assert_tree_basis(red, rows, cols, m, n)
+    assert basic.sum() == m + n - 1 and basic_rows.sum() == 1
+
+
+def test_tree_basis_of_a_disconnected_list_is_a_forest_with_one_logical_per_tree():
+    # two blocks (sources 0-2 with targets 0-1, sources 3-4 with targets 2-4),
+    # an uncovered source 5 and an uncovered target 5: four components
+    rows = np.array([0, 0, 1, 2, 2, 3, 3, 4, 4, 4])
+    cols = np.array([0, 1, 1, 0, 1, 2, 3, 3, 4, 2])
+    red = np.array([0.5, 0.1, 0.2, 0.2, 0.9, 0.0, 0.3, 0.3, 0.1, 0.7])
+    basic, basic_rows = assert_tree_basis(red, rows, cols, 6, 6)
+    assert basic.sum() == 8 and basic_rows[[5, 6 + 5]].all()
 
 
 def test_pricing_rounds_from_northwest_corner_alone(monkeypatch):
     # with no seeded shortlist the restricted LP starts from the
-    # north-west-corner plan alone and must reach the optimum by pricing
+    # north-west-corner plan alone and must reach the optimum by pricing,
+    # each round adding columns to the one solver
     spec = GridSpec(2, 8, 1.0)
     rng = np.random.default_rng(3)
     u = _measure(spec, rng.uniform(0.1, 1.0, spec.size))
     v = _measure(spec, rng.uniform(0.1, 1.0, spec.size))
     v = _measure(spec, v.masses * (u.total / v.total))
     value = dense_lp(u, v)
-    monkeypatch.setattr(transport, "_shortlist", lambda cost, a, b: np.zeros(cost.shape, dtype=bool))
-    lps = []
-    solve = transport._restricted_lp
-    monkeypatch.setattr(transport, "_restricted_lp", lambda *args: lps.append(args[3].size) or solve(*args))
+    monkeypatch.setattr(
+        transport, "_shortlist", lambda cost, a, b: (np.zeros(cost.shape, dtype=bool), np.zeros(cost.shape))
+    )
+    solvers, cols = [], []
+    start, add = transport._restricted_lp, transport._add_cells
+
+    def recording_start(*args):
+        out = start(*args)
+        solvers.append(out[0])
+        cols.append(out[0].getNumCol())
+        return out
+
+    def recording_add(highs, *args):
+        out = add(highs, *args)
+        solvers.append(highs)
+        cols.append(highs.getNumCol())
+        return out
+
+    monkeypatch.setattr(transport, "_restricted_lp", recording_start)
+    monkeypatch.setattr(transport, "_add_cells", recording_add)
     res = w2_squared(u, v)
-    assert lps[0] <= 2 * spec.size - 1  # the north-west-corner cells only
-    assert len(lps) >= 3 and lps == sorted(lps)
+    assert cols[0] <= 2 * spec.size - 1  # the north-west-corner cells only
+    assert len(cols) >= 3 and all(p < q for p, q in zip(cols, cols[1:]))
+    assert all(h is solvers[0] for h in solvers)
     assert_certified(u, v, res, value)
 
 
@@ -212,8 +319,21 @@ def test_shortlist_is_exercised_on_larger_supports():
     rng = np.random.default_rng(4)
     cost = transport._cost_matrix(spec, np.arange(64), np.arange(64))
     a = rng.uniform(0.1, 1.0, 64)
-    sel = transport._shortlist(cost, a / a.sum(), np.full(64, 1 / 64))
+    sel, red = transport._shortlist(cost, a / a.sum(), np.full(64, 1 / 64))
     assert 64 * transport.SHORTLIST_K <= sel.sum() < sel.size
+    assert red.shape == cost.shape and not np.array_equal(red, cost)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**16))
+def test_priced_cells_match_a_full_matrix_pass(m, n, k, seed):
+    # reduced costs in {-2, -1, 0, 1}, so most lines hold ties among their violations
+    rng = np.random.default_rng(seed)
+    red = rng.integers(-2, 2, (m, n)).astype(float)
+    red[rng.random((m, n)) < 0.3] = np.inf
+    smallest = transport._smallest_per_line(red, k, 1) | transport._smallest_per_line(red, k, 0)
+    full = (red < -transport.LP_TOL) & smallest
+    assert np.array_equal(transport._priced_cells(red, k), full)
 
 
 @settings(max_examples=25, deadline=None)

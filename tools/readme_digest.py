@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Run every README CLI line plus one `check` per inequality id (gn at
 q = 4 and q = 2), one `trace` per trace id (layer-cake in 2D and 3D), a
-Sinkhorn prop3 check, a prop3 check at a given threshold, a prop3, a gn,
-a frozen prop2 and a frozen geomest calibration, a gn sweep, the
-superconductor chain, and prop3, prop5 and prop4 checks
-and prop3 and prop5 traces at d = 1 or 3, and a two-parameter prop3
-`extremize` in a fresh directory, and print the exit code of each command
-and a sha256 per output file.
+48² prop3 check, a Sinkhorn prop3 check, a prop3 check at a given
+threshold, a prop3, a gn, a frozen prop2 and a frozen geomest
+calibration, a gn sweep, the superconductor chain, and prop3, prop5 and
+prop4 checks and prop3 and prop5 traces at d = 1 or 3, and a
+two-parameter prop3 `extremize` in a fresh directory, and print the exit
+code of each command and a sha256 per output file.
 
     PYTHONPATH=src python tools/readme_digest.py <out_dir>
 
@@ -38,6 +38,7 @@ EXTRA = [
     "check --id weaklog --family ostwald --params phi=1/16,n_balls=2 --d 2 --n 64 --out chk-weaklog",
     "check --id geomest --family ball-lattice --params phi=1/16,n_balls=4 --d 2 --n 128 --out chk-geomest",
     f"check --id prop3 --family ball-lattice --params phi=0.2,mean=1 --d 2 --n 16 {BIG_CAP} --out chk-prop3",
+    f"check --id prop3 --family single-bump --params radius=0.2,mean=1 --d 2 --n 48 {BIG_CAP} --out chk-prop3-48",
     "check --id prop3 --family ball-lattice --params phi=0.2,mean=1 --d 2 --n 16 --method sinkhorn "
     "--out chk-prop3-sinkhorn",
     "check --id prop5 --family ball-lattice --params phi=0.1,n_balls=2 --d 2 --n 16 --phi 0.02 --nu 0.05 "
